@@ -14,8 +14,6 @@
 // can archive the scheduler's perf trajectory from PR to PR.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "axi/endpoints.hpp"
@@ -24,7 +22,7 @@
 #include "axi/rate_gate.hpp"
 #include "axi/router.hpp"
 #include "axi/testbench.hpp"
-#include "bench_common.hpp"
+#include "microbench_main.hpp"
 
 namespace {
 
@@ -129,22 +127,5 @@ BENCHMARK(BM_IdleBench)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Default to a JSON report next to the CSVs so CI can archive it.
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag;
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-  }
-  if (!has_out) {
-    out_flag = "--benchmark_out=" + tfsim::bench::csv_path("BENCH_axi.json");
-    args.push_back(out_flag.data());
-    args.push_back(const_cast<char*>("--benchmark_out_format=json"));
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return tfsim::bench::microbench_main(argc, argv, "BENCH_axi.json");
 }

@@ -6,12 +6,10 @@
 // can archive the perf trajectory of the engine from PR to PR.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "microbench_main.hpp"
 #include "sim/engine.hpp"
 #include "sim/pdes.hpp"
 
@@ -136,22 +134,5 @@ BENCHMARK(BM_PdesScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Default to a JSON report next to the CSVs so CI can archive it.
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag;
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-  }
-  if (!has_out) {
-    out_flag = "--benchmark_out=" + tfsim::bench::csv_path("BENCH_engine.json");
-    args.push_back(out_flag.data());
-    args.push_back(const_cast<char*>("--benchmark_out_format=json"));
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return tfsim::bench::microbench_main(argc, argv, "BENCH_engine.json");
 }

@@ -1,5 +1,8 @@
 #include "mem/cache.hpp"
 
+#include <bit>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace tfsim::mem {
@@ -19,110 +22,131 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg, std::string name)
   if (cfg_.size_bytes % (static_cast<std::uint64_t>(cfg_.associativity) * cfg_.line_bytes) != 0) {
     throw std::invalid_argument("cache size must divide into sets evenly");
   }
-  ways_.resize(sets_count_ * cfg_.associativity);
+  sets_pow2_ = std::has_single_bit(sets_count_);
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
+  tags_ = zeroed_words(cfg_.num_lines());
+  // The random-replacement L3 never reads stamps: skip the array entirely.
+  if (cfg_.replacement == Replacement::kLru) {
+    stamps_ = zeroed_words(cfg_.num_lines());
+  }
 }
 
-void SetAssocCache::reset_sets() {
-  for (auto& w : ways_) w = Way{};
+SetAssocCache::Words SetAssocCache::zeroed_words(std::uint64_t n) {
+  // calloc, not new[]: value-initialising new[] writes every word, faulting
+  // in pages a cache may never touch.
+  // NOLINTNEXTLINE(cppcoreguidelines-no-malloc)
+  auto* p = static_cast<std::uint64_t*>(std::calloc(n, sizeof(std::uint64_t)));
+  if (p == nullptr) throw std::bad_alloc();
+  return Words(p);
+}
+
+std::uint32_t SetAssocCache::find(std::uint64_t first,
+                                  std::uint64_t key) const {
+  const std::uint64_t* set = &tags_[first];
+  const std::uint32_t ways = cfg_.associativity;
+  for (std::uint32_t i = 0; i < ways; ++i) {
+    if ((set[i] & ~kDirty) == key) return i;
+  }
+  return ways;
+}
+
+std::uint32_t SetAssocCache::pick_victim(std::uint64_t first) {
+  const std::uint64_t* set = &tags_[first];
+  const std::uint32_t ways = cfg_.associativity;
+  if (stamps_) {
+    // One pass: an invalid way wins as soon as it is seen, else the
+    // smallest stamp (the first of any tie).
+    const std::uint64_t* stamp = &stamps_[first];
+    std::uint32_t lru = 0;
+    for (std::uint32_t i = 0; i < ways; ++i) {
+      if (set[i] == 0) return i;
+      if (stamp[i] < stamp[lru]) lru = i;
+    }
+    return lru;
+  }
+  for (std::uint32_t i = 0; i < ways; ++i) {
+    if (set[i] == 0) return i;  // prefer an invalid way as the victim
+  }
+  // xorshift victim pick: cheap and stateless per access.
+  victim_seed_ ^= victim_seed_ << 13;
+  victim_seed_ ^= victim_seed_ >> 7;
+  victim_seed_ ^= victim_seed_ << 17;
+  return static_cast<std::uint32_t>(victim_seed_ % ways);
 }
 
 SetAssocCache::AccessResult SetAssocCache::access(Addr addr, bool write) {
-  const Addr line = line_base(addr, cfg_.line_bytes);
-  const std::uint64_t set = set_index(line);
-  const Addr tag = tag_of(line);
-  Way* base = &ways_[set * cfg_.associativity];
+  const std::uint64_t index = addr >> line_shift_;
+  const std::uint64_t first = set_of(index) * cfg_.associativity;
+  const std::uint64_t key = (index << 2) | kValid;
+  const std::uint64_t dirty = write ? kDirty : 0;
   ++clock_;
 
-  Way* lru = base;
-  bool have_invalid = false;
-  for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = base[i];
-    if (w.valid && w.tag == tag) {
-      w.lru = clock_;
-      w.dirty = w.dirty || write;
-      ++stats_.hits;
-      return AccessResult{true, false, 0};
-    }
-    if (!w.valid) {
-      if (!have_invalid) {
-        lru = &w;  // prefer an invalid way as the victim
-        have_invalid = true;
-      }
-    } else if (!have_invalid && lru->valid && w.lru < lru->lru) {
-      lru = &w;
-    }
-  }
-  if (!have_invalid && cfg_.replacement == Replacement::kRandom) {
-    // xorshift victim pick: cheap and stateless per access.
-    victim_seed_ ^= victim_seed_ << 13;
-    victim_seed_ ^= victim_seed_ >> 7;
-    victim_seed_ ^= victim_seed_ << 17;
-    lru = &base[victim_seed_ % cfg_.associativity];
+  const std::uint32_t hit = find(first, key);
+  if (hit != cfg_.associativity) {
+    tags_[first + hit] |= dirty;
+    if (stamps_) stamps_[first + hit] = clock_;
+    ++stats_.hits;
+    return AccessResult{true, false, 0};
   }
 
   ++stats_.misses;
+  const std::uint64_t way = first + pick_victim(first);
   AccessResult res;
-  if (lru->valid && lru->dirty) {
+  if ((tags_[way] & kDirty) != 0) {
     res.writeback = true;
-    res.victim_line = line_from(set, lru->tag);
+    res.victim_line = (tags_[way] >> 2) << line_shift_;
     ++stats_.writebacks;
   }
-  lru->tag = tag;
-  lru->valid = true;
-  lru->dirty = write;
-  lru->lru = clock_;
+  tags_[way] = key | dirty;
+  if (stamps_) stamps_[way] = clock_;
   return res;
 }
 
 bool SetAssocCache::probe(Addr addr) const {
-  const Addr line = line_base(addr, cfg_.line_bytes);
-  const std::uint64_t set = set_index(line);
-  const Addr tag = tag_of(line);
-  const Way* base = &ways_[set * cfg_.associativity];
-  for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-    if (base[i].valid && base[i].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t index = addr >> line_shift_;
+  return find(set_of(index) * cfg_.associativity, (index << 2) | kValid) !=
+         cfg_.associativity;
 }
 
 bool SetAssocCache::invalidate(Addr addr, bool* was_dirty) {
-  const Addr line = line_base(addr, cfg_.line_bytes);
-  const std::uint64_t set = set_index(line);
-  const Addr tag = tag_of(line);
-  Way* base = &ways_[set * cfg_.associativity];
-  for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = base[i];
-    if (w.valid && w.tag == tag) {
-      if (was_dirty != nullptr) *was_dirty = w.dirty;
-      w = Way{};
-      ++stats_.invalidations;
-      return true;
-    }
+  const std::uint64_t index = addr >> line_shift_;
+  const std::uint64_t first = set_of(index) * cfg_.associativity;
+  const std::uint32_t i = find(first, (index << 2) | kValid);
+  const bool resident = i != cfg_.associativity;
+  if (was_dirty != nullptr) {
+    *was_dirty = resident && (tags_[first + i] & kDirty) != 0;
   }
-  if (was_dirty != nullptr) *was_dirty = false;
-  return false;
+  if (!resident) return false;
+  tags_[first + i] = 0;
+  ++stats_.invalidations;
+  return true;
 }
 
 std::uint64_t SetAssocCache::invalidate_range(const Range& range) {
   // Walk resident ways rather than the (possibly huge) address range.
   std::uint64_t dropped = 0;
-  for (std::uint64_t set = 0; set < sets_count_; ++set) {
-    Way* base = &ways_[set * cfg_.associativity];
-    for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-      Way& w = base[i];
-      if (w.valid && range.contains(line_from(set, w.tag))) {
-        w = Way{};
-        ++stats_.invalidations;
-        ++dropped;
-      }
+  const std::uint64_t ways = cfg_.num_lines();
+  for (std::uint64_t i = 0; i < ways; ++i) {
+    const std::uint64_t w = tags_[i];
+    if (w != 0 && range.contains((w >> 2) << line_shift_)) {
+      tags_[i] = 0;
+      ++stats_.invalidations;
+      ++dropped;
     }
   }
   return dropped;
 }
 
+void SetAssocCache::flush() {
+  // Stamps need no reset: they are only read once every way is valid, and
+  // a refill stamps each way afresh.
+  std::memset(tags_.get(), 0, cfg_.num_lines() * sizeof(std::uint64_t));
+}
+
 std::uint64_t SetAssocCache::resident_lines() const {
   std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
+  const std::uint64_t ways = cfg_.num_lines();
+  for (std::uint64_t i = 0; i < ways; ++i) n += tags_[i] != 0 ? 1 : 0;
   return n;
 }
 

@@ -3,8 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "mem/address.hpp"
 
@@ -63,7 +64,7 @@ class SetAssocCache {
   /// Invalidate every line in [range) -- used on hot-unplug.
   std::uint64_t invalidate_range(const Range& range);
 
-  void flush() { reset_sets(); }
+  void flush();
 
   const CacheConfig& config() const { return cfg_; }
   const CacheStats& stats() const { return stats_; }
@@ -71,24 +72,41 @@ class SetAssocCache {
   std::uint64_t resident_lines() const;
 
  private:
-  struct Way {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  ///< last-touch stamp; smallest = LRU victim
-  };
+  // One packed word per way: (line index << 2) | kDirty | kValid, where the
+  // line index is addr / line_bytes.  An invalid way is the all-zero word,
+  // so a lookup is one compare per way and storage from calloc starts out
+  // empty.  Line indices stay far below 2^62 for any simulated address.
+  static constexpr std::uint64_t kValid = 1;
+  static constexpr std::uint64_t kDirty = 2;
 
-  std::uint64_t set_index(Addr line) const { return (line / cfg_.line_bytes) % sets_count_; }
-  Addr tag_of(Addr line) const { return line / cfg_.line_bytes / sets_count_; }
-  Addr line_from(std::uint64_t set, Addr tag) const {
-    return (tag * sets_count_ + set) * cfg_.line_bytes;
+  struct FreeDeleter {
+    void operator()(std::uint64_t* p) const {
+      std::free(p);  // NOLINT(cppcoreguidelines-no-malloc): pairs with calloc
+    }
+  };
+  /// Zeroed on demand: calloc hands large arrays out as untouched
+  /// anonymous pages, so a cache that never runs costs no faults or RSS.
+  using Words = std::unique_ptr<std::uint64_t[], FreeDeleter>;
+  static Words zeroed_words(std::uint64_t n);
+
+  std::uint64_t set_of(std::uint64_t line_index) const {
+    return sets_pow2_ ? (line_index & (sets_count_ - 1))
+                      : (line_index % sets_count_);
   }
-  void reset_sets();
+  /// Way of the set starting at tags_[first] that holds the valid line
+  /// `key`, or associativity if none does.
+  std::uint32_t find(std::uint64_t first, std::uint64_t key) const;
+  /// Way to fill on a miss: the first invalid way, else the LRU stamp
+  /// (kLru) or an xorshift pick (kRandom).
+  std::uint32_t pick_victim(std::uint64_t first);
 
   CacheConfig cfg_;
   std::string name_;
   std::uint64_t sets_count_ = 0;
-  std::vector<Way> ways_;  ///< sets_count_ x associativity, row-major
+  bool sets_pow2_ = false;
+  unsigned line_shift_ = 0;
+  Words tags_;    ///< sets_count_ x associativity, row-major
+  Words stamps_;  ///< last-touch clock per way, kLru only; smallest = victim
   std::uint64_t clock_ = 0;
   std::uint64_t victim_seed_ = 0x2545F4914F6CDD1DULL;
   CacheStats stats_;

@@ -8,8 +8,9 @@ CacheHierarchy::CacheHierarchy(const std::vector<LevelConfig>& levels) {
   if (levels.empty()) {
     throw std::invalid_argument("CacheHierarchy: needs at least one level");
   }
+  levels_.reserve(levels.size());
   for (const auto& lc : levels) {
-    levels_.push_back(std::make_unique<SetAssocCache>(lc.cache, lc.name));
+    levels_.emplace_back(lc.cache, lc.name);
     latencies_.push_back(lc.latency);
   }
 }
@@ -19,45 +20,41 @@ CacheHierarchy::Result CacheHierarchy::access(Addr addr, bool write) {
   Result res;
   const auto n = levels_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const auto r = levels_[i]->access(addr, write);
+    const auto r = levels_[i].access(addr, write);
     if (r.hit) {
-      if (res.hit_level < 0) {
-        res.hit_level = static_cast<int>(i);
-        res.latency = latencies_[i];
-      }
       // Levels inward of the hit already allocated the line (loop order),
       // so stop probing outward.
+      res.hit_level = static_cast<int>(i);
+      res.latency = latencies_[i];
       return res;
     }
     // Miss at level i: the line was allocated there; a dirty victim from the
     // last level leaves the hierarchy entirely.
-    if (r.writeback && i + 1 == n) {
-      res.memory_writebacks.push_back(r.victim_line);
-    }
+    if (r.writeback && i + 1 == n) res.memory_writebacks.set(r.victim_line);
   }
   return res;  // hit_level == -1: miss to memory
 }
 
 void CacheHierarchy::invalidate(Addr addr) {
   TFSIM_DOMAIN_TOUCH("CacheHierarchy::invalidate");
-  for (auto& l : levels_) l->invalidate(addr);
+  for (auto& l : levels_) l.invalidate(addr);
 }
 
 std::uint64_t CacheHierarchy::invalidate_range(const Range& range) {
   TFSIM_DOMAIN_TOUCH("CacheHierarchy::invalidate_range");
   std::uint64_t dropped = 0;
-  for (auto& l : levels_) dropped += l->invalidate_range(range);
+  for (auto& l : levels_) dropped += l.invalidate_range(range);
   return dropped;
 }
 
 void CacheHierarchy::flush() {
   TFSIM_DOMAIN_TOUCH("CacheHierarchy::flush");
-  for (auto& l : levels_) l->flush();
+  for (auto& l : levels_) l.flush();
 }
 
 std::uint64_t CacheHierarchy::total_capacity() const {
   std::uint64_t total = 0;
-  for (const auto& l : levels_) total += l->config().size_bytes;
+  for (const auto& l : levels_) total += l.config().size_bytes;
   return total;
 }
 

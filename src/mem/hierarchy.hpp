@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,25 @@ class CacheHierarchy {
  public:
   explicit CacheHierarchy(const std::vector<LevelConfig>& levels);
 
+  /// Dirty lines one access evicts from the last level: at most one (only
+  /// the last level's victim leaves the hierarchy), held inline so an
+  /// access allocates nothing.  Iterable like a container.
+  class Writebacks {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Addr* begin() const { return &line_; }
+    const Addr* end() const { return &line_ + size_; }
+    void set(Addr line) {
+      line_ = line;
+      size_ = 1;
+    }
+
+   private:
+    Addr line_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct Result {
     /// Index of the level that hit, or -1 for a miss to memory.
     int hit_level = -1;
@@ -35,7 +53,7 @@ class CacheHierarchy {
     /// memory path is charged by the caller).
     sim::Time latency = 0;
     /// Dirty lines evicted from the last level by this access.
-    std::vector<Addr> memory_writebacks;
+    Writebacks memory_writebacks;
   };
 
   Result access(Addr addr, bool write);
@@ -46,7 +64,7 @@ class CacheHierarchy {
   void flush();
 
   std::size_t num_levels() const { return levels_.size(); }
-  const SetAssocCache& level(std::size_t i) const { return *levels_.at(i); }
+  const SetAssocCache& level(std::size_t i) const { return levels_.at(i); }
   sim::Time level_latency(std::size_t i) const { return latencies_.at(i); }
 
   /// Total capacity across levels (the paper sizes STREAM beyond this).
@@ -55,7 +73,7 @@ class CacheHierarchy {
   TFSIM_DOMAIN_OWNED
 
  private:
-  std::vector<std::unique_ptr<SetAssocCache>> levels_;
+  std::vector<SetAssocCache> levels_;
   std::vector<sim::Time> latencies_;
 };
 

@@ -26,13 +26,8 @@ void MemContext::reserve_slot() {
   }
 }
 
-sim::Time MemContext::miss_path(mem::Addr addr) {
-  const mem::Region* region = node_.memory_map().find(addr);
-  if (region == nullptr || region->backing == mem::Backing::kLocalDram) {
-    // Local DRAM (unmapped addresses also land here: the functional model
-    // has no MMU faults; tests assert workloads stay in-bounds).
-    return node_.dram().access(now_, mem::kCacheLineBytes);
-  }
+sim::Time MemContext::miss_path(mem::Addr addr, bool is_local) {
+  if (is_local) return node_.dram().access(now_, mem::kCacheLineBytes);
   // Hot-page migration: pages the daemon already moved are served locally.
   if (auto* migrator = node_.migrator();
       migrator != nullptr && migrator->on_remote_access(addr, now_)) {
@@ -90,35 +85,28 @@ void MemContext::access(mem::Addr addr, bool write, bool dependent) {
     return;
   }
 
-  // Miss to memory.
-  const bool is_local = [&] {
-    const mem::Region* region = node_.memory_map().find(addr);
-    return region == nullptr || region->backing == mem::Backing::kLocalDram;
-  }();
+  // Miss to memory.  Local DRAM also serves unmapped addresses: the
+  // functional model has no MMU faults; tests assert workloads stay
+  // in-bounds.  The map only changes at setup (hot-plug), never from engine
+  // events, so one lookup serves the whole miss.
+  const mem::Region* region = node_.memory_map().find(addr);
+  const bool is_local =
+      region == nullptr || region->backing == mem::Backing::kLocalDram;
   if (is_local) ++stats_.local_misses;
 
-  if (dependent) {
-    sync_engine();
-    const sim::Time issued = now_;
-    const sim::Time done = [&] {
-      const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:miss");
-      return miss_path(addr);
-    }();
-    stats_.miss_latency_us.add(sim::to_us(done - issued));
-    if (done > now_) {
-      stats_.stall_time += done - now_;
-      now_ = done;
-    }
-  } else {
-    reserve_slot();
-    sync_engine();
-    const sim::Time issued = now_;
-    const sim::Time done = [&] {
-      const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:miss");
-      return miss_path(addr);
-    }();
-    stats_.miss_latency_us.add(sim::to_us(done - issued));
+  if (!dependent) reserve_slot();
+  sync_engine();
+  const sim::Time issued = now_;
+  const sim::Time done = [&] {
+    const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:miss");
+    return miss_path(addr, is_local);
+  }();
+  stats_.miss_latency_us.add(sim::to_us(done - issued));
+  if (!dependent) {
     outstanding_.push(done);
+  } else if (done > now_) {
+    stats_.stall_time += done - now_;
+    now_ = done;
   }
 }
 

@@ -79,7 +79,7 @@ class MemContext {
   /// Stall (if needed) until an outstanding slot is free.
   void reserve_slot();
   /// Memory path for a miss issued at now_; returns completion time.
-  sim::Time miss_path(mem::Addr addr);
+  sim::Time miss_path(mem::Addr addr, bool is_local);
   void posted_writeback(mem::Addr line);
 
   Node& node_;

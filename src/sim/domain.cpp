@@ -44,12 +44,6 @@ const std::string& DomainChecker::domain_name(DomainId id) const {
   return names_[id];
 }
 
-void DomainChecker::push(DomainId domain, std::string label) {
-  stack_.push_back(GuardFrame{domain, std::move(label)});
-}
-
-void DomainChecker::pop() { stack_.pop_back(); }
-
 void DomainChecker::report(DomainViolation v) {
   if (mode_ == DomainCheckMode::kOff) return;
   ++total_;

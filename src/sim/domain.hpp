@@ -26,6 +26,7 @@
 // so every existing scenario continuously proves itself violation-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -116,13 +117,17 @@ class DomainChecker {
  private:
   friend class DomainGuard;
   friend class DomainHandle;
+  /// `label` points at static storage (DomainGuard only accepts literals
+  /// and arrays); it is copied into a DomainViolation only on a report.
   struct GuardFrame {
     DomainId domain = kNoDomain;
-    std::string label;
+    const char* label = "";
   };
 
-  void push(DomainId domain, std::string label);
-  void pop();
+  void push(DomainId domain, const char* label) {
+    stack_.push_back(GuardFrame{domain, label});
+  }
+  void pop() { stack_.pop_back(); }
 
   static constexpr std::size_t kMaxStored = 256;
   DomainCheckMode mode_;
@@ -135,13 +140,18 @@ class DomainChecker {
 
 /// RAII active-domain scope.  A null checker makes the guard inert, so
 /// call sites can guard unconditionally.  The label names the activity for
-/// violation reports ("ctx:stream", "net:deliver borrower->lender1").
+/// violation reports ("ctx:cache", "net:deliver").  Guards open on every
+/// simulated access, so the label is a string literal (or array) kept by
+/// pointer: a guard costs one mode test and a vector push/pop, with no
+/// allocation.  A `const char*` or `std::string` does not bind, so the
+/// c_str() of a temporary cannot outlive its guard.
 class DomainGuard {
  public:
-  DomainGuard(DomainChecker* checker, DomainId domain, std::string label = "")
+  template <std::size_t N>
+  DomainGuard(DomainChecker* checker, DomainId domain, const char (&label)[N])
       : checker_(checker) {
     if (checker_ != nullptr && checker_->mode() != DomainCheckMode::kOff) {
-      checker_->push(domain, std::move(label));
+      checker_->push(domain, label);
     } else {
       checker_ = nullptr;  // mode switched mid-scope must not unbalance
     }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace tfsim::mem {
 namespace {
@@ -146,6 +151,129 @@ TEST(CacheTest, RandomReplacementLetsStreamsEvictHotLines) {
   EXPECT_GT(lru_hits, 1990u) << "LRU keeps the hot line";
   EXPECT_LT(rnd_hits, lru_hits) << "random replacement must lose it sometimes";
 }
+
+
+TEST(CacheTest, NonPowerOfTwoSetCountIndexesByModulo) {
+  // 3 sets x 2 ways x 128 B: lines 0, 3, 6 share set 0.
+  SetAssocCache c(CacheConfig{768, 2, 128, Replacement::kLru});
+  c.access(0 * 128, true);
+  c.access(3 * 128, false);
+  c.access(1 * 128, false);  // set 1: must not disturb set 0
+  const auto r = c.access(6 * 128, false);
+  EXPECT_FALSE(r.hit);
+  EXPECT_TRUE(r.writeback) << "the dirty LRU line of set 0 is evicted";
+  EXPECT_EQ(r.victim_line, 0u);
+  EXPECT_TRUE(c.probe(3 * 128));
+  EXPECT_TRUE(c.probe(1 * 128));
+  EXPECT_EQ(c.resident_lines(), 3u);
+}
+
+TEST(CacheTest, PackedWaysSurviveInvalidateRangeAndFlush) {
+  // 12 sets (modulo indexing): dirty bits, range drops and flush must all
+  // act on the packed way words alone.
+  SetAssocCache c(CacheConfig{6144, 4, 128, Replacement::kLru});
+  for (Addr a = 0; a < 48 * 128; a += 128) c.access(a, a % 256 == 0);
+  EXPECT_EQ(c.resident_lines(), 48u);
+  bool dirty = false;
+  EXPECT_TRUE(c.invalidate(256, &dirty));
+  EXPECT_TRUE(dirty);
+  EXPECT_TRUE(c.invalidate(384, &dirty));
+  EXPECT_FALSE(dirty);
+  EXPECT_FALSE(c.invalidate(384, &dirty));
+  EXPECT_EQ(c.invalidate_range(Range{1024, 1024}), 8u);
+  EXPECT_EQ(c.resident_lines(), 38u);
+  EXPECT_FALSE(c.probe(1024));
+  EXPECT_TRUE(c.probe(2048));
+  // A refill of an invalidated way is clean until written.
+  EXPECT_FALSE(c.access(1024, false).hit);
+  c.flush();
+  EXPECT_EQ(c.resident_lines(), 0u);
+  for (Addr a = 0; a < 48 * 128; a += 128) {
+    EXPECT_FALSE(c.access(a, false).writeback) << "flush dropped dirty lines";
+  }
+  EXPECT_EQ(c.stats().invalidations, 10u);
+}
+
+// FNV-1a over every observable result of a seeded mixed-operation trace:
+// accesses (hit, writeback, victim line), invalidates, range drops, probes,
+// resident counts and one mid-trace flush.
+std::uint64_t trace_digest(const CacheConfig& cfg, std::uint64_t seed) {
+  SetAssocCache c(cfg);
+  sim::Rng rng(seed);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  const std::uint64_t span = cfg.size_bytes * 4;
+  for (int i = 0; i < 40000; ++i) {
+    const Addr addr = rng.uniform_u64(span);
+    const double op = rng.uniform();
+    if (op < 0.90) {
+      const auto r = c.access(addr, op < 0.30);
+      mix(r.hit);
+      mix(r.writeback);
+      mix(r.victim_line);
+    } else if (op < 0.96) {
+      bool dirty = false;
+      mix(c.invalidate(addr, &dirty));
+      mix(dirty);
+    } else if (op < 0.99) {
+      mix(c.probe(addr));
+    } else {
+      mix(c.invalidate_range(Range{addr, rng.uniform_u64(cfg.size_bytes)}));
+      mix(c.resident_lines());
+    }
+    if (i == 20000) c.flush();
+  }
+  mix(c.stats().hits);
+  mix(c.stats().misses);
+  mix(c.stats().writebacks);
+  mix(c.stats().invalidations);
+  return h;
+}
+
+// Digests recorded from the pre-packing cache (24-byte way structs, divide
+// indexing).  Any change to victim choice, dirty tracking or indexing moves
+// them.
+struct DigestCase {
+  const char* name;
+  CacheConfig cfg;
+  std::uint64_t digest;
+};
+
+void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
+
+class CacheTraceDigestTest : public ::testing::TestWithParam<DigestCase> {};
+
+TEST_P(CacheTraceDigestTest, MatchesRecordedDigest) {
+  const DigestCase& c = GetParam();
+  const std::uint64_t got =
+      trace_digest(c.cfg, c.cfg.size_bytes ^ c.cfg.associativity);
+  EXPECT_EQ(got, c.digest) << std::hex << "got 0x" << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheTraceDigestTest,
+    ::testing::Values(
+        // 32 sets, random victims (the L3 policy), mask indexing.
+        DigestCase{"random_32sets",
+                   CacheConfig{16384, 4, 128, Replacement::kRandom},
+                   0xb2f180a50681d405ULL},
+        // 12 sets x 5 ways: modulo indexing and a non-power-of-two xorshift
+        // pick.
+        DigestCase{"random_12sets",
+                   CacheConfig{7680, 5, 128, Replacement::kRandom},
+                   0x8011066fbd5387b2ULL},
+        // 3 sets, LRU stamps.
+        DigestCase{"lru_3sets", CacheConfig{768, 2, 128, Replacement::kLru},
+                   0x9eaa2d6980e74d30ULL},
+        // 64 sets x 8 ways, LRU.
+        DigestCase{"lru_64sets", CacheConfig{65536, 8, 128, Replacement::kLru},
+                   0xbdbf2fee23aa55b8ULL}),
+    [](const ::testing::TestParamInfo<DigestCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace tfsim::mem

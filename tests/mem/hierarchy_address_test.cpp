@@ -3,6 +3,7 @@
 #include "mem/address.hpp"
 #include "mem/dram.hpp"
 #include "mem/hierarchy.hpp"
+#include "sim/rng.hpp"
 
 namespace tfsim::mem {
 namespace {
@@ -113,6 +114,24 @@ TEST(HierarchyTest, WritebacksOnlyFromLastLevel) {
     wbs += h.access(a, false).memory_writebacks.size();
   }
   EXPECT_GE(wbs, 1u);
+}
+
+TEST(HierarchyTest, AtMostOneWritebackPerAccess) {
+  // Only the last level's victim leaves the hierarchy, so one access can
+  // report at most one line; together they are every last-level writeback.
+  CacheHierarchy h(tiny_hierarchy());
+  sim::Rng rng(7);
+  std::uint64_t wbs = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const auto r = h.access(rng.uniform_u64(256 * 1024), rng.uniform() < 0.5);
+    ASSERT_LE(r.memory_writebacks.size(), 1u);
+    for (const Addr line : r.memory_writebacks) {
+      EXPECT_EQ(line, line_base(line)) << "writebacks are line addresses";
+      ++wbs;
+    }
+  }
+  EXPECT_GT(wbs, 0u);
+  EXPECT_EQ(wbs, h.level(h.num_levels() - 1).stats().writebacks);
 }
 
 TEST(HierarchyTest, InvalidateRangeDropsEverywhere) {

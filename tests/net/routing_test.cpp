@@ -296,7 +296,9 @@ TEST(LeafSpineTest, BuildsFullBipartiteTier) {
   // Every host pair routes without a single add_route call.
   for (const NodeId s : hosts) {
     for (const NodeId d : hosts) {
-      if (s != d) EXPECT_TRUE(net.has_route(s, d));
+      if (s != d) {
+        EXPECT_TRUE(net.has_route(s, d));
+      }
     }
   }
 }

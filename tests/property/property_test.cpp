@@ -83,7 +83,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::uint64_t{4096}, 4u),
                       std::make_tuple(std::uint64_t{8192}, 1u),
                       std::make_tuple(std::uint64_t{16384}, 16u),
-                      std::make_tuple(std::uint64_t{65536}, 8u)));
+                      std::make_tuple(std::uint64_t{65536}, 8u),
+                      // Set counts that are not a power of two (3 and 12)
+                      // take the modulo indexing path.
+                      std::make_tuple(std::uint64_t{768}, 2u),
+                      std::make_tuple(std::uint64_t{6144}, 4u)));
 
 // --- AXI FIFO vs shadow queue under random handshakes ----------------------
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "sim/engine.hpp"
 
 namespace tfsim::sim {
@@ -137,6 +140,40 @@ TEST(DomainCheckerTest, InnermostGuardWins) {
   }
   EXPECT_THROW(c.bump(), DomainError);
 }
+
+TEST(DomainCheckerTest, CollectReportsInnermostLabelOfNestedGuards) {
+  DomainChecker checker;
+  checker.set_mode(DomainCheckMode::kCollect);
+  const DomainId borrower = checker.add_domain("borrower");
+  const DomainId lender = checker.add_domain("lender");
+  const DomainId third = checker.add_domain("third");
+  Counter c;
+  c.tfsim_domain().bind(checker, lender, "lender/counter");
+  {
+    const DomainGuard outer(&checker, borrower, "ctx:miss");
+    {
+      const DomainGuard middle(&checker, lender, "net:deliver");
+      const DomainGuard inner(&checker, third, "test:inner");
+      c.bump();
+    }
+    c.bump();
+  }
+  EXPECT_FALSE(checker.in_guard());
+  ASSERT_EQ(checker.violations().size(), 2u);
+  EXPECT_EQ(checker.violations()[0].guard_label, "test:inner");
+  EXPECT_EQ(checker.violations()[0].active_name, "third");
+  EXPECT_EQ(checker.violations()[1].guard_label, "ctx:miss")
+      << "popping the inner guards restores the outer label";
+}
+
+// Labels are kept by pointer for the guard's lifetime, so only literals and
+// arrays bind: a c_str() of a temporary must not compile.
+static_assert(std::is_constructible_v<DomainGuard, DomainChecker*, DomainId,
+                                      const char (&)[6]>);
+static_assert(!std::is_constructible_v<DomainGuard, DomainChecker*, DomainId,
+                                       const char*>);
+static_assert(!std::is_constructible_v<DomainGuard, DomainChecker*, DomainId,
+                                       std::string>);
 
 TEST(DomainCheckerTest, NullCheckerGuardIsInert) {
   const DomainGuard g(nullptr, 3, "standalone");
