@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
@@ -13,6 +13,64 @@
 #include "sim/sweep.hpp"
 
 namespace tfsim::sim {
+
+namespace {
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Window barrier: the last worker to arrive runs `Completion` while the
+/// others wait, then releases them.  A window often holds a handful of
+/// events (about a microsecond of work), so waiters spin before they block:
+/// std::barrier parks a waiter in the kernel after a few dozen spins, so
+/// nearly every window paid a futex sleep and a cross-CPU wake-up and the
+/// run's wall time followed the host's wake-up latency.  The spin yields
+/// every kSpinsPerYield rounds, so a waiter that shares a CPU with the
+/// worker it waits for lets that worker run.  With more workers than
+/// hardware threads the waiters block at once.
+template <class Completion>
+class WindowBarrier {
+ public:
+  WindowBarrier(std::size_t parties, Completion completion)
+      : parties_(parties),
+        spins_(parties <= std::thread::hardware_concurrency() ? kSpins : 0),
+        completion_(std::move(completion)) {}
+
+  void arrive_and_wait() {
+    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+    // acq_rel: the last arrival sees every worker's window effects.
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      completion_();
+      phase_.store(phase + 1, std::memory_order_release);
+      phase_.notify_all();
+      return;
+    }
+    for (int i = 1; i <= spins_; ++i) {
+      if (phase_.load(std::memory_order_acquire) != phase) return;
+      if (i % kSpinsPerYield == 0) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+    }
+    phase_.wait(phase, std::memory_order_acquire);
+  }
+
+ private:
+  static constexpr int kSpins = 1 << 15;
+  static constexpr int kSpinsPerYield = 64;
+  const std::size_t parties_;
+  const int spins_;
+  Completion completion_;
+  std::atomic<std::size_t> arrived_{0};
+  std::atomic<std::uint32_t> phase_{0};
+};
+
+}  // namespace
 
 unsigned PdesConfig::threads_from_env() {
   const char* v = std::getenv("TFSIM_PDES");
@@ -32,6 +90,7 @@ ParallelEngine::ParallelEngine(std::size_t num_domains, PdesConfig cfg)
   }
   outboxes_.resize(num_domains);
   errors_.resize(num_domains);
+  next_.resize(num_domains);
 }
 
 void ParallelEngine::set_lookahead(Time lookahead) {
@@ -68,9 +127,9 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
 
 Time ParallelEngine::next_event_time() {
   Time min = kTimeNever;
-  for (const auto& d : domains_) {
-    const std::optional<Time> t = d->next_event_time();
-    if (t.has_value() && *t < min) min = *t;
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
+    min = std::min(min, next_[d]);
   }
   return min;
 }
@@ -94,6 +153,14 @@ bool ParallelEngine::begin_window() {
   window_start_ = t;
   horizon_ =
       (t > kTimeNever - cfg_.lookahead) ? kTimeNever : t + cfg_.lookahead;
+  // A domain without an event before the horizon has nothing to run in
+  // this window, and none can arrive: cross-domain posts land at or after
+  // the horizon.  Workers claim only the active domains, so a window costs
+  // one shared-counter claim per busy domain instead of one per domain.
+  active_.clear();
+  for (std::size_t d = 0; d < next_.size(); ++d) {
+    if (next_[d] < horizon_) active_.push_back(d);
+  }
   ++windows_;
   return true;
 }
@@ -106,7 +173,7 @@ void ParallelEngine::run_serial() {
   while (begin_window()) {
     // Domains in id order is one legal (and the reference) schedule of the
     // independent window slices; the parallel path must match it exactly.
-    for (std::size_t d = 0; d < domains_.size(); ++d) execute_domain(d);
+    for (const std::size_t d : active_) execute_domain(d);
     flush_outboxes();
   }
 }
@@ -121,7 +188,7 @@ void ParallelEngine::run_parallel() {
 
   // Barrier phase completion: runs on one worker while the rest wait, so
   // it may touch calendars and outboxes freely.  Must not exit via an
-  // exception (std::barrier requirement), hence the catch-all.
+  // exception (it would strand the waiting workers), hence the catch-all.
   auto on_window_done = [this, &next_domain, &done, &flush_error]() noexcept {
     for (const std::exception_ptr& e : errors_) {
       if (e != nullptr) {
@@ -141,14 +208,15 @@ void ParallelEngine::run_parallel() {
     if (aborted_) done.store(true, std::memory_order_relaxed);
     next_domain.store(0, std::memory_order_relaxed);
   };
-  std::barrier sync(static_cast<std::ptrdiff_t>(nthreads), on_window_done);
+  WindowBarrier sync(nthreads, on_window_done);
 
   auto worker = [this, &next_domain, &done, &sync] {
     while (!done.load(std::memory_order_relaxed)) {
       for (;;) {
-        const std::size_t d =
+        const std::size_t i =
             next_domain.fetch_add(1, std::memory_order_relaxed);
-        if (d >= domains_.size()) break;
+        if (i >= active_.size()) break;
+        const std::size_t d = active_[i];
         try {
           execute_domain(d);
         } catch (...) {

@@ -116,12 +116,15 @@ class ParallelEngine {
   };
 
   /// Earliest live event time across every calendar; kTimeNever when idle.
+  /// Also stores each calendar's next event time (kTimeNever if none) in
+  /// next_.
   Time next_event_time();
   /// Move every outbox entry into its target calendar, in (source domain,
   /// send order) order — the deterministic tie-break for same-timestamp
   /// cross-domain arrivals.
   void flush_outboxes();
-  /// Open the window at the global minimum event time.  False when idle.
+  /// Open the window at the global minimum event time and list the
+  /// domains with an event before its horizon.  False when idle.
   bool begin_window();
   /// Run domain d's slice of the current window.
   void execute_domain(std::size_t d);
@@ -132,6 +135,8 @@ class ParallelEngine {
   std::vector<std::unique_ptr<Engine>> domains_;
   std::vector<std::vector<Pending>> outboxes_;  ///< per source domain
   std::vector<std::exception_ptr> errors_;      ///< per domain, this window
+  std::vector<Time> next_;           ///< per domain, at the last window open
+  std::vector<std::size_t> active_;  ///< domains with work this window, by id
   bool running_ = false;
   bool aborted_ = false;
   Time window_start_ = 0;
