@@ -2,20 +2,29 @@
 // cache level, the whole hierarchy and a MemContext access.  Each row is
 // ns per simulated access at that layer, so an end-to-end change in the
 // tfbench graph500_remote throughput can be traced to the layer that made
-// it.
+// it.  The routed-fabric rows do the same for the serving workloads: a
+// post_routed hop on a leaf/spine fabric, one switch admission, and one
+// ParallelEngine window at the serving tier's shape (22 domains, 4 events
+// per window); each reports ns per hop, admission or window as
+// 1e9 / items_per_second.
 //
 // Emits BENCH_layers.json (google-benchmark JSON, mirrored into
 // $TFSIM_CSV_DIR) unless the caller passes its own --benchmark_out.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
 #include "microbench_main.hpp"
+#include "net/network.hpp"
+#include "net/topology.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/domain.hpp"
+#include "sim/pdes.hpp"
 
 namespace {
 
@@ -112,6 +121,98 @@ void BM_ContextLocalHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ContextLocalHit);
+
+// post_routed messages across an 8-leaf x 4-spine fabric with 32 hosts.
+// Each iteration sends host i to host i+1 for every i (always the next
+// leaf: host -> leaf -> spine -> leaf -> host, 4 hops) and runs them to
+// arrival, so a window holds many hops and the row is the hop itself: a
+// switch admission (all but the first hop), a link transmit, a cross-
+// domain post and its event.
+void BM_RoutedHop(benchmark::State& state) {
+  constexpr std::size_t kHosts = 32;
+  constexpr std::int64_t kHops = 4;
+  tfsim::net::Network net;
+  std::vector<tfsim::net::NodeId> hosts;
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    hosts.push_back(net.add_node("h" + std::to_string(i)));
+  }
+  tfsim::net::LeafSpineConfig cfg;
+  cfg.leaves = 8;
+  cfg.spines = 4;
+  tfsim::net::LeafSpineFabric::build(net, cfg, hosts);
+  tfsim::sim::PdesConfig pcfg;
+  pcfg.lookahead = net.min_propagation();
+  tfsim::sim::ParallelEngine pdes(net.num_nodes(), pcfg);
+  std::uint64_t arrived = 0;
+  tfsim::sim::Time t = 0;
+  std::uint64_t salt = 0;
+  for (auto _ : state) {
+    t += tfsim::sim::from_us(10.0);
+    for (std::size_t i = 0; i < kHosts; ++i) {
+      net.post_routed(pdes, t, hosts[i], hosts[(i + 1) % kHosts], 256,
+                      tfsim::sim::Priority::kBulk, ++salt,
+                      [&arrived](const tfsim::net::Delivery&) { ++arrived; });
+    }
+    pdes.run();
+  }
+  benchmark::DoNotOptimize(arrived);
+  state.SetItemsProcessed(state.iterations() * kHops *
+                          static_cast<std::int64_t>(kHosts));
+}
+BENCHMARK(BM_RoutedHop);
+
+// Switch egress admission on a resolved port: chaos-window check, queue
+// occupancy from the egress link, and the port counters.
+void BM_SwitchAdmit(benchmark::State& state) {
+  tfsim::net::Switch sw(tfsim::net::SwitchConfig{});
+  const tfsim::net::Link out(tfsim::net::LinkConfig{});
+  tfsim::net::Switch::Egress port = sw.egress(1);
+  tfsim::sim::Time now = 0;
+  double stretch = 1.0;
+  for (auto _ : state) {
+    now += 100'000;
+    benchmark::DoNotOptimize(sw.admit(port, now, 256, out, stretch));
+  }
+  benchmark::DoNotOptimize(stretch);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwitchAdmit);
+
+// ParallelEngine windows at the serving_rack shape: 22 domains, serial, 4
+// token chains moving in lockstep, so every window holds 4 events on 4
+// domains and each event posts the next one exactly at the horizon.  One
+// item is one window: its open, 4 domain slices and the outbox flush.
+void BM_PdesWindow(benchmark::State& state) {
+  constexpr std::size_t kDomains = 22;
+  constexpr int kChains = 4;
+  constexpr int kWindowsPerRun = 1000;
+  constexpr tfsim::sim::Time kLookahead = 100;
+  tfsim::sim::PdesConfig cfg;
+  cfg.lookahead = kLookahead;
+  tfsim::sim::ParallelEngine pdes(kDomains, cfg);
+  struct Token {
+    tfsim::sim::ParallelEngine* pdes;
+    tfsim::sim::DomainId at;
+    int left;
+    void operator()() {
+      if (--left == 0) return;
+      const auto next =
+          static_cast<tfsim::sim::DomainId>((at + kChains) % kDomains);
+      pdes->post(at, next, pdes->horizon(), Token{pdes, next, left});
+    }
+  };
+  tfsim::sim::Time start = 0;
+  for (auto _ : state) {
+    for (int c = 0; c < kChains; ++c) {
+      const auto d = static_cast<tfsim::sim::DomainId>(c);
+      pdes.post(d, d, start, Token{&pdes, d, kWindowsPerRun});
+    }
+    pdes.run();
+    start += kLookahead * (kWindowsPerRun + 1);
+  }
+  state.SetItemsProcessed(state.iterations() * kWindowsPerRun);
+}
+BENCHMARK(BM_PdesWindow);
 
 }  // namespace
 

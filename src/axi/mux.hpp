@@ -4,6 +4,7 @@
 // "equal division of bandwidth" behaviour in the MCBN contention experiment.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -20,8 +21,9 @@ class RoundRobinMux final : public Module {
   void tick(std::uint64_t cycle) override;
   /// eval() reads every input's VALID/payload and the output's READY.
   std::optional<std::vector<const Wire*>> inputs() const override {
-    std::vector<const Wire*> ins(inputs_.begin(), inputs_.end());
-    ins.push_back(&out_);
+    std::vector<const Wire*> ins(inputs_.size() + 1);
+    std::copy(inputs_.begin(), inputs_.end(), ins.begin());
+    ins.back() = &out_;
     return ins;
   }
   /// Arbiter state (rr_, the held grant) only changes when a handshake

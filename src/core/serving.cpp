@@ -249,6 +249,20 @@ ServingReport run_serving(node::Cluster& cluster) {
     }
   }
 
+  // What the per-request continuations reach, behind one pointer: a [&]
+  // capture stores one reference per name, which pushed the request and
+  // response continuations past the engine callback's inline buffer and
+  // cost two heap allocations per request.
+  struct Plane {
+    net::Network& net;
+    sim::ParallelEngine& pdes;
+    std::vector<std::unique_ptr<LenderState>>& lenders;
+    std::vector<std::unique_ptr<SourceState>>& states;
+    sim::Time svc;
+    std::uint64_t resp_bytes;
+  };
+  const Plane plane{net, *pdes, lenders, states, svc, traffic.resp_bytes};
+
   for (std::size_t si = 0; si < states.size(); ++si) {
     SourceState& st = *states[si];
     const std::uint32_t ti = st.tenant_idx;
@@ -295,18 +309,20 @@ ServingReport run_serving(node::Cluster& cluster) {
       // re-striping around a sick spine possible at all.
       const std::uint64_t salt = net::mix64(
           (static_cast<std::uint64_t>(si) << 20) ^ src.stripe_shift);
+      const auto source = static_cast<std::uint32_t>(si);
       net.post_routed(
           *pdes, now, src.borrower_net, lenders[li]->net_id, traffic.req_bytes,
           sim::Priority::kBulk, salt,
-          [&, si, li, tenant, salt, done](const net::Delivery& d) {
+          [&plane, source, li, tenant, salt, done](const net::Delivery& d) {
             // Lender domain.
-            LenderState& L = *lenders[li];
+            LenderState& L = *plane.lenders[li];
             if (d.arrival >= L.dead_at) return;  // dead: borrower times out
             if (L.qos != nullptr && !L.qos->try_admit(tenant, d.arrival)) {
               // Credit exhaustion: a small refusal frame goes straight
               // back; the request never reaches the service queue.
-              net.post_routed(
-                  *pdes, d.arrival, L.net_id, states[si]->borrower_net, 64,
+              plane.net.post_routed(
+                  plane.pdes, d.arrival, L.net_id,
+                  plane.states[source]->borrower_net, 64,
                   sim::Priority::kBulk, salt ^ 0x9e3779b97f4a7c15ULL,
                   [done](const net::Delivery& r) {
                     done(r.arrival, workloads::RequestOutcome::kRejected);
@@ -318,24 +334,26 @@ ServingReport run_serving(node::Cluster& cluster) {
             // answers, just `factor`x slower with seeded jitter -- the
             // failure mode no timeout ever sees.
             const sim::Time begin = std::max(d.arrival, L.busy_until);
-            sim::Time eff_svc = svc;
+            sim::Time eff_svc = plane.svc;
             if (const net::FlapSpec* g = net::active_window(L.gray, begin)) {
               const double jitter =
                   1.0 + 0.5 * net::unit_interval(net::mix64(
                                   L.gray_seed ^ net::mix64(L.gray_draws++)));
-              eff_svc = static_cast<sim::Time>(static_cast<double>(svc) *
-                                              g->bandwidth_factor * jitter);
+              eff_svc =
+                  static_cast<sim::Time>(static_cast<double>(plane.svc) *
+                                         g->bandwidth_factor * jitter);
               ++L.gray_hits;
             }
             const sim::Time fin = begin + eff_svc;
             L.busy_until = fin;
             ++L.served;
-            L.engine->schedule_at(fin, [&, si, li, salt, done, fin] {
-              LenderState& L2 = *lenders[li];
+            L.engine->schedule_at(fin, [&plane, source, li, salt, done, fin] {
+              LenderState& L2 = *plane.lenders[li];
               if (fin >= L2.dead_at) return;  // died while request was queued
-              net.post_routed(
-                  *pdes, fin, L2.net_id, states[si]->borrower_net,
-                  traffic.resp_bytes, sim::Priority::kBulk,
+              plane.net.post_routed(
+                  plane.pdes, fin, L2.net_id,
+                  plane.states[source]->borrower_net, plane.resp_bytes,
+                  sim::Priority::kBulk,
                   salt ^ 0x5bd1e9955bd1e995ULL,
                   [done](const net::Delivery& r) {
                     done(r.arrival, workloads::RequestOutcome::kCompleted);
@@ -420,7 +438,10 @@ ServingReport run_serving(node::Cluster& cluster) {
             if (good && ++src.good_probes >= spec.detector.rejoin_confirm) {
               // Rejoin the recovered primary; the stand-in lender returns
               // to the head of the failover chain.
-              src.failover.insert(src.failover.begin(), src.target);
+              std::vector<std::uint32_t> chain{src.target};
+              chain.insert(chain.end(), src.failover.begin(),
+                           src.failover.end());
+              src.failover = std::move(chain);
               src.target = src.abandoned_primary;
               src.abandoned_primary = SourceState::kNoLender;
               ++src.epoch;

@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+
 #include "sim/pdes.hpp"
 
 namespace tfsim::net {
@@ -46,6 +48,11 @@ void Network::connect(NodeId from, NodeId to, const LinkConfig& cfg) {
       cfg, names_[from] + "->" + names_[to]);
   routes_[key] = {key};  // implicit one-hop route
   table_dirty_ = true;
+  if (hops_n_ < names_.size()) {
+    grow_hops();  // fills every entry, this link's included
+  } else {
+    set_hop(from, to);
+  }
 }
 
 std::string Network::hop_name(const std::pair<NodeId, NodeId>& hop) const {
@@ -92,6 +99,25 @@ void Network::build_routes() {
   ensure_routes();
 }
 
+void Network::grow_hops() {
+  hops_n_ = std::max(names_.size(), 2 * hops_n_);
+  hops_.assign(hops_n_ * hops_n_, Hop{});
+  for (const auto& [key, link] : links_) set_hop(key.first, key.second);
+}
+
+void Network::set_hop(NodeId from, NodeId to) {
+  const auto key = std::make_pair(from, to);
+  Hop& h = hop(from, to);
+  h.link = links_.at(key).get();
+  if (const auto fit = faulty_.find(key); fit != faulty_.end()) {
+    h.faulty = fit->second.get();
+  }
+  if (const auto sit = switches_.find(from); sit != switches_.end()) {
+    h.sw = &sit->second;
+    h.port = sit->second.egress(to);
+  }
+}
+
 void Network::ensure_routes() const {
   if (!table_dirty_) return;
   // The rebuild is deterministic (the link map is ordered), so lazy
@@ -121,34 +147,31 @@ sim::Time Network::deliver(sim::Time now, NodeId src, NodeId dst,
   return deliver_ex(now, src, dst, wire_bytes, prio, flow_salt).arrival;
 }
 
-bool Network::transmit_hop(Delivery& d, NodeId from, NodeId to,
-                           std::uint64_t wire_bytes, sim::Priority prio) {
-  const auto key = std::make_pair(from, to);
-  Link& out = *links_.at(key);
+bool Network::transmit_hop(Delivery& d, Hop& h, std::uint64_t wire_bytes,
+                           sim::Priority prio) {
+  Link& out = *h.link;
   // A degraded chaos window (port brownout) stretches the frame's effective
   // serialization, like a degraded link flap; the window is looked up at the
-  // frame's arrival at the switch, matching the admission decision below.
+  // frame's arrival at the switch, in the same call as the admission
+  // decision.
   double stretch = 1.0;
-  if (const auto sit = switches_.find(from); sit != switches_.end()) {
-    if (!sit->second.admit(to, d.arrival, wire_bytes, out)) {
-      // Tail-dropped or inside a chaos down window (kill_switch / hard-down
-      // brownout); downstream hops never see the frame.
-      d.outcome = FaultOutcome::kSwitchDropped;
-      return false;
-    }
-    stretch = sit->second.service_stretch(to, d.arrival);
+  if (h.sw != nullptr &&
+      !h.sw->admit(h.port, d.arrival, wire_bytes, out, stretch)) {
+    // Tail-dropped or inside a chaos down window (kill_switch / hard-down
+    // brownout); downstream hops never see the frame.
+    d.outcome = FaultOutcome::kSwitchDropped;
+    return false;
   }
   if (stretch > 1.0) {
     const sim::Time ser = out.config().bandwidth.serialization_time(wire_bytes);
     d.arrival += static_cast<sim::Time>(static_cast<double>(ser) *
                                         (stretch - 1.0));
   }
-  const auto fit = faulty_.find(key);
-  if (fit == faulty_.end()) {
+  if (h.faulty == nullptr) {
     d.arrival = out.transmit(d.arrival, wire_bytes, prio);
     return true;
   }
-  const auto tx = fit->second->transmit(d.arrival, wire_bytes, prio);
+  const auto tx = h.faulty->transmit(d.arrival, wire_bytes, prio);
   d.arrival = tx.delivered;
   if (tx.outcome == FaultOutcome::kLost ||
       tx.outcome == FaultOutcome::kFlapDropped) {
@@ -167,8 +190,8 @@ Delivery Network::deliver_ex(sim::Time now, NodeId src, NodeId dst,
   Delivery d;
   d.arrival = now;
   if (const auto it = routes_.find({src, dst}); it != routes_.end()) {
-    for (const auto& hop : it->second) {
-      if (!transmit_hop(d, hop.first, hop.second, wire_bytes, prio)) return d;
+    for (const auto& [from, to] : it->second) {
+      if (!transmit_hop(d, hop(from, to), wire_bytes, prio)) return d;
     }
     return d;
   }
@@ -182,7 +205,7 @@ Delivery Network::deliver_ex(sim::Time now, NodeId src, NodeId dst,
   NodeId cur = src;
   while (cur != dst) {
     const NodeId next = table_.pick(cur, dst, src, flow_salt);
-    if (!transmit_hop(d, cur, next, wire_bytes, prio)) return d;
+    if (!transmit_hop(d, hop(cur, next), wire_bytes, prio)) return d;
     cur = next;
   }
   return d;
@@ -201,7 +224,7 @@ Delivery Network::post_delivery(sim::ParallelEngine& pdes,
                                 sim::DomainId dst_domain, sim::Time now,
                                 NodeId src, NodeId dst,
                                 std::uint64_t wire_bytes, sim::Priority prio,
-                                std::function<void(const Delivery&)> on_arrival) {
+                                ArrivalFn on_arrival) {
   const Delivery d = deliver_ex(now, src, dst, wire_bytes, prio);
   if (d.outcome == FaultOutcome::kLost ||
       d.outcome == FaultOutcome::kFlapDropped ||
@@ -209,45 +232,47 @@ Delivery Network::post_delivery(sim::ParallelEngine& pdes,
     return d;  // the frame is gone; the destination domain never hears of it
   }
   pdes.post(src_domain, dst_domain, d.arrival,
-            [cb = std::move(on_arrival), d] { cb(d); });
+            [cb = std::move(on_arrival), d]() mutable { cb(d); });
   return d;
 }
 
 void Network::post_routed(sim::ParallelEngine& pdes, sim::Time now, NodeId src,
                           NodeId dst, std::uint64_t wire_bytes,
                           sim::Priority prio, std::uint64_t flow_salt,
-                          std::function<void(const Delivery&)> on_arrival) {
+                          ArrivalFn on_arrival) {
   ensure_routes();
   if (!table_.reachable(src, dst)) {
     throw std::invalid_argument("Network::post_routed: no route " +
                                 names_.at(src) + "->" + names_.at(dst));
   }
-  Delivery d;
-  d.arrival = now;
-  step_routed(pdes, src, src, dst, d, wire_bytes, prio, flow_salt,
-              std::move(on_arrival));
+  auto f = std::make_unique<RoutedFrame>();
+  f->src = src;
+  f->dst = dst;
+  f->d.arrival = now;
+  f->wire_bytes = wire_bytes;
+  f->prio = prio;
+  f->flow_salt = flow_salt;
+  f->on_arrival = std::move(on_arrival);
+  step_routed(pdes, src, std::move(f));
 }
 
-void Network::step_routed(sim::ParallelEngine& pdes, NodeId cur, NodeId src,
-                          NodeId dst, Delivery d, std::uint64_t wire_bytes,
-                          sim::Priority prio, std::uint64_t flow_salt,
-                          std::function<void(const Delivery&)> on_arrival) {
-  const NodeId next = table_.pick(cur, dst, src, flow_salt);
-  if (!transmit_hop(d, cur, next, wire_bytes, prio)) {
+void Network::step_routed(sim::ParallelEngine& pdes, NodeId cur,
+                          std::unique_ptr<RoutedFrame> f) {
+  const NodeId next = table_.pick(cur, f->dst, f->src, f->flow_salt);
+  if (!transmit_hop(f->d, hop(cur, next), f->wire_bytes, f->prio)) {
     return;  // dropped mid-fabric; the sender only learns via its own timer
   }
   const auto cur_dom = static_cast<sim::DomainId>(cur);
   const auto next_dom = static_cast<sim::DomainId>(next);
-  if (next == dst) {
-    pdes.post(cur_dom, next_dom, d.arrival,
-              [cb = std::move(on_arrival), d] { cb(d); });
+  const sim::Time arrival = f->d.arrival;
+  if (next == f->dst) {
+    pdes.post(cur_dom, next_dom, arrival,
+              [f = std::move(f)] { f->on_arrival(f->d); });
     return;
   }
-  pdes.post(cur_dom, next_dom, d.arrival,
-            [this, &pdes, next, src, dst, d, wire_bytes, prio, flow_salt,
-             cb = std::move(on_arrival)]() mutable {
-              step_routed(pdes, next, src, dst, d, wire_bytes, prio,
-                          flow_salt, std::move(cb));
+  pdes.post(cur_dom, next_dom, arrival,
+            [net = this, pdes = &pdes, next, f = std::move(f)]() mutable {
+              net->step_routed(*pdes, next, std::move(f));
             });
 }
 
@@ -256,7 +281,9 @@ void Network::enable_faults(const FaultConfig& cfg) {
     if (faulty_.count(key) != 0) continue;
     FaultConfig per_link = cfg;
     per_link.seed = link_fault_seed(cfg.seed, key.first, key.second);
-    faulty_[key] = std::make_unique<FaultyLink>(*link, per_link);
+    auto& faulty = faulty_[key];
+    faulty = std::make_unique<FaultyLink>(*link, per_link);
+    hop(key.first, key.second).faulty = faulty.get();
   }
 }
 
@@ -274,7 +301,9 @@ void Network::enable_faults_on(NodeId from, NodeId to,
   }
   FaultConfig per_link = cfg;
   per_link.seed = link_fault_seed(cfg.seed, from, to);
-  faulty_[key] = std::make_unique<FaultyLink>(*it->second, per_link);
+  auto& faulty = faulty_[key];
+  faulty = std::make_unique<FaultyLink>(*it->second, per_link);
+  hop(from, to).faulty = faulty.get();
 }
 
 const FaultyLink* Network::faulty_link(NodeId from, NodeId to) const {

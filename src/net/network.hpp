@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -32,6 +31,7 @@
 #include "net/routing.hpp"
 #include "net/switch.hpp"
 #include "sim/domain.hpp"
+#include "sim/unique_function.hpp"
 
 namespace tfsim::sim {
 class ParallelEngine;
@@ -50,6 +50,9 @@ struct Delivery {
 
   bool delivered() const { return outcome == FaultOutcome::kDelivered; }
 };
+
+/// Continuation run in the destination domain when a posted frame arrives.
+using ArrivalFn = sim::UniqueFunction<void(const Delivery&)>;
 
 class Network {
  public:
@@ -126,8 +129,7 @@ class Network {
   Delivery post_delivery(sim::ParallelEngine& pdes, sim::DomainId src_domain,
                          sim::DomainId dst_domain, sim::Time now, NodeId src,
                          NodeId dst, std::uint64_t wire_bytes,
-                         sim::Priority prio,
-                         std::function<void(const Delivery&)> on_arrival);
+                         sim::Priority prio, ArrivalFn on_arrival);
 
   /// Hop-by-hop PDES forwarding over the routing table for fabrics with
   /// *shared* switches: each hop's transmit executes in the owning node's
@@ -142,10 +144,13 @@ class Network {
   /// Soundness: every post crosses exactly one link, so it lands at least
   /// one propagation delay ahead -- with lookahead <= min_propagation() the
   /// horizon always clears.
+  ///
+  /// Cost: one heap-allocated RoutedFrame per message carries the frame
+  /// state from hop to hop; each hop event captures only the frame pointer
+  /// and fits UniqueFunction's inline buffer, so hops allocate nothing.
   void post_routed(sim::ParallelEngine& pdes, sim::Time now, NodeId src,
                    NodeId dst, std::uint64_t wire_bytes, sim::Priority prio,
-                   std::uint64_t flow_salt,
-                   std::function<void(const Delivery&)> on_arrival);
+                   std::uint64_t flow_salt, ArrivalFn on_arrival);
 
   /// Wrap every existing link with a FaultyLink driven by `cfg`; each link
   /// gets an independent stream split off cfg.seed via link_fault_seed, so
@@ -175,18 +180,40 @@ class Network {
   const RoutingTable& routing() const;
 
  private:
+  /// Everything one hop of a traversal touches, resolved ahead of time.
+  struct Hop {
+    Link* link = nullptr;             ///< nullptr: no link from -> to
+    FaultyLink* faulty = nullptr;     ///< fault decoration, if any
+    Switch* sw = nullptr;             ///< set when `from` is a switch
+    Switch::Egress port;              ///< sw's egress toward `to`
+  };
+  /// A post_routed message in flight: allocated once, handed from hop to
+  /// hop.
+  struct RoutedFrame {
+    NodeId src = 0;
+    NodeId dst = 0;
+    Delivery d;
+    std::uint64_t wire_bytes = 0;
+    sim::Priority prio = sim::Priority::kBulk;
+    std::uint64_t flow_salt = 0;
+    ArrivalFn on_arrival;
+  };
+
+  Hop& hop(NodeId from, NodeId to) { return hops_[from * hops_n_ + to]; }
   /// One hop of a traversal: switch egress admission (when `from` is a
   /// registered switch), then the (possibly fault-decorated) link transmit.
   /// Advances d.arrival; returns false when the frame died on this hop.
-  bool transmit_hop(Delivery& d, NodeId from, NodeId to,
-                    std::uint64_t wire_bytes, sim::Priority prio);
+  static bool transmit_hop(Delivery& d, Hop& h, std::uint64_t wire_bytes,
+                           sim::Priority prio);
   /// Continue a post_routed chain from `cur` (executing in cur's domain at
-  /// d.arrival).
-  void step_routed(sim::ParallelEngine& pdes, NodeId cur, NodeId src,
-                   NodeId dst, Delivery d, std::uint64_t wire_bytes,
-                   sim::Priority prio, std::uint64_t flow_salt,
-                   std::function<void(const Delivery&)> on_arrival);
+  /// f->d.arrival).
+  void step_routed(sim::ParallelEngine& pdes, NodeId cur,
+                   std::unique_ptr<RoutedFrame> f);
   void ensure_routes() const;
+  /// Re-index the hop table for at least num_nodes() nodes.
+  void grow_hops();
+  /// Fill the hop-table entry of link from -> to.
+  void set_hop(NodeId from, NodeId to);
   std::string hop_name(const std::pair<NodeId, NodeId>& hop) const;
 
   std::vector<std::string> names_;
@@ -198,6 +225,13 @@ class Network {
   /// so const queries (has_route) can trigger the rebuild.
   mutable RoutingTable table_;
   mutable bool table_dirty_ = true;
+  /// hops_[from * hops_n_ + to] for every connected pair, kept current by
+  /// connect() and enable_faults*, so no delivery path ever rebuilds it (a
+  /// lazy rebuild from a PDES worker would race).  hops_n_ may lag
+  /// num_nodes() for nodes that have no links yet; connect() grows it,
+  /// doubling, so interleaved add_node/connect assembly stays O(n^2).
+  std::vector<Hop> hops_;
+  std::size_t hops_n_ = 0;
 };
 
 }  // namespace tfsim::net

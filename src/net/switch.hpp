@@ -72,9 +72,30 @@ class Switch {
  public:
   explicit Switch(const SwitchConfig& cfg) : cfg_(cfg) {}
 
+  /// A resolved egress port, kept per switch hop in Network's hop table so
+  /// admitting a frame costs no map lookup.  Both pointers reference
+  /// node-stable map entries of this switch.
+  struct Egress {
+    NodeId to = 0;
+    /// The port's stats entry, resolved by the first frame admission sees
+    /// (ports() lists only ports that saw a frame).  Written only by the
+    /// domain that forwards through this switch.
+    PortStats* stats = nullptr;
+    /// The port's brownout schedule.  egress() creates the (empty) entry,
+    /// so a later set_port_windows fills the same vector in place.
+    const std::vector<FlapSpec>* windows = nullptr;
+  };
+  /// Handle for the egress toward neighbour `to` (assembly time only).
+  Egress egress(NodeId to);
+
   /// Admission decision for a frame of `wire_bytes` entering the egress
-  /// queue toward neighbour `egress` (whose link is `out`) at `now`.
-  /// Updates the port statistics; returns false when the frame is dropped.
+  /// queue of `port` (whose link is `out`) at `now`.  Updates the port
+  /// statistics; returns false when the frame is dropped.  On admission
+  /// `stretch` receives the serialization multiplier service_stretch
+  /// reports for the port at `now`.
+  bool admit(Egress& port, sim::Time now, std::uint64_t wire_bytes,
+             const Link& out, double& stretch);
+  /// Same decision for a port named by neighbour id (no stretch output).
   bool admit(NodeId egress, sim::Time now, std::uint64_t wire_bytes,
              const Link& out);
 
@@ -97,7 +118,8 @@ class Switch {
 
   /// Whole-switch windows (kill_switch): apply to every egress port.
   void set_down_windows(std::vector<FlapSpec> windows);
-  /// Per-port brownout windows for the egress toward `egress`.
+  /// Per-port brownout windows for the egress toward `egress`.  Handles
+  /// taken earlier with egress() see the new schedule.
   void set_port_windows(NodeId egress, std::vector<FlapSpec> windows);
 
   const std::vector<FlapSpec>& down_windows() const { return down_; }
@@ -109,7 +131,10 @@ class Switch {
   double service_stretch(NodeId egress, sim::Time now) const;
 
  private:
-  const FlapSpec* active_chaos(NodeId egress, sim::Time now) const;
+  /// Switch-wide windows first, then the port's own (may be nullptr).
+  const FlapSpec* active_chaos(const std::vector<FlapSpec>* port_windows,
+                               sim::Time now) const;
+  const std::vector<FlapSpec>* port_windows(NodeId egress) const;
 
   SwitchConfig cfg_;
   std::map<NodeId, PortStats> ports_;

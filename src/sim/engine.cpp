@@ -25,7 +25,7 @@ void Engine::release_slot(std::uint32_t idx) {
   free_.push_back(idx);
 }
 
-Engine::EventId Engine::schedule_at(Time t, Callback cb) {
+Engine::EventId Engine::schedule_at(Time t, Callback&& cb) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time is in the past");
   }

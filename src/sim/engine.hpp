@@ -6,10 +6,11 @@
 //
 // Storage is a slab: callbacks live in pooled slots recycled through a free
 // list, and the priority queue holds small trivially-copyable entries that
-// reference slots by (index, generation).  Scheduling therefore costs no
-// per-event heap allocation (beyond std::function capture storage), and a
-// stale handle — cancelled, fired, or slot-reused — is detected by a
-// generation mismatch instead of a shared_ptr control block.
+// reference slots by (index, generation).  Callbacks are UniqueFunctions
+// whose captures of up to 64 bytes live inside the slot, so scheduling such
+// an event costs no heap allocation; larger captures cost one.  A stale
+// handle — cancelled, fired, or slot-reused — is detected by a generation
+// mismatch instead of a shared_ptr control block.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +20,16 @@
 #include <vector>
 
 #include "sim/domain.hpp"
+#include "sim/unique_function.hpp"
 #include "sim/units.hpp"
 
 namespace tfsim::sim {
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
+  /// Move-only; captures up to UniqueFunction::kCapacity bytes are stored
+  /// in the calendar slot without a heap allocation.
+  using Callback = UniqueFunction<void()>;
 
   /// Handle for cancelling a scheduled event.  Default-constructed handles
   /// are inert; cancel() on an already-fired event is a no-op.  A handle
@@ -53,11 +57,15 @@ class Engine {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `t` (must be >= now()).
-  EventId schedule_at(Time t, Callback cb);
+  /// Schedule `cb` at absolute time `t` (must be >= now()).  Callbacks are
+  /// taken by rvalue reference: each move of an inline capture costs a
+  /// relocation, and a by-value parameter would add one per hand-off.
+  EventId schedule_at(Time t, Callback&& cb);
 
   /// Schedule `cb` `dt` after the current time.
-  EventId schedule_in(Time dt, Callback cb) { return schedule_at(now_ + dt, std::move(cb)); }
+  EventId schedule_in(Time dt, Callback&& cb) {
+    return schedule_at(now_ + dt, std::move(cb));
+  }
 
   /// Cancel a previously scheduled event.  Safe on fired/invalid ids.
   /// Presenting a handle minted by a *different* engine is a no-op on this

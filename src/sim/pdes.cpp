@@ -101,7 +101,7 @@ void ParallelEngine::set_lookahead(Time lookahead) {
 }
 
 void ParallelEngine::post(DomainId src, DomainId dst, Time t,
-                          Engine::Callback cb) {
+                          Engine::Callback&& cb) {
   if (src >= domains_.size() || dst >= domains_.size()) {
     throw std::out_of_range("ParallelEngine::post: domain id out of range");
   }
@@ -122,33 +122,33 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
   }
   // Single writer: during a window only the thread executing `src` appends
   // to outboxes_[src]; the flush happens behind the window barrier.
-  outboxes_[src].push_back(Pending{dst, t, std::move(cb)});
+  outboxes_[src].emplace_back(dst, t, std::move(cb));
 }
 
-Time ParallelEngine::next_event_time() {
-  Time min = kTimeNever;
+void ParallelEngine::scan_calendars() {
   for (std::size_t d = 0; d < domains_.size(); ++d) {
     next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
-    min = std::min(min, next_[d]);
   }
-  return min;
 }
 
 void ParallelEngine::flush_outboxes() {
   // Fixed (source domain, send order) flush so same-timestamp cross-domain
   // arrivals get identical sequence numbers in the target calendar for
   // every thread count -- the load-bearing line of the determinism
-  // argument (DESIGN.md section 13).
-  for (auto& box : outboxes_) {
+  // argument (DESIGN.md section 13).  Only domains that ran this window can
+  // have posted, and active_ lists them in id order.
+  for (const std::size_t src : active_) {
+    std::vector<Pending>& box = outboxes_[src];
     for (Pending& p : box) {
       domains_[p.dst]->schedule_at(p.time, std::move(p.cb));
+      next_[p.dst] = std::min(next_[p.dst], p.time);
     }
     box.clear();
   }
 }
 
 bool ParallelEngine::begin_window() {
-  const Time t = next_event_time();
+  const Time t = *std::min_element(next_.begin(), next_.end());
   if (t == kTimeNever) return false;
   window_start_ = t;
   horizon_ =
@@ -166,7 +166,9 @@ bool ParallelEngine::begin_window() {
 }
 
 void ParallelEngine::execute_domain(std::size_t d) {
-  domains_[d]->run_before(horizon_);
+  Engine& e = *domains_[d];
+  e.run_before(horizon_);
+  next_[d] = e.next_event_time().value_or(kTimeNever);
 }
 
 void ParallelEngine::run_serial() {
@@ -271,10 +273,22 @@ void ParallelEngine::run() {
     bool& flag_;
   };
   const RunningScope scope(running_);
+  scan_calendars();
   if (cfg_.threads > 1 && domains_.size() > 1) {
     run_parallel();
   } else {
     run_serial();
+  }
+  // The run ends when next_ says every calendar is empty.  An event left
+  // behind was scheduled on a calendar by another domain's event, behind
+  // post(): next_ never saw it, and no window would have run it on time.
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    if (domains_[d]->pending() != 0) {
+      throw std::logic_error(
+          "ParallelEngine::run: domain " + std::to_string(d) +
+          " holds events scheduled from another domain; cross-domain "
+          "events must go through post()");
+    }
   }
 }
 

@@ -82,7 +82,7 @@ class ParallelEngine {
   /// posting domain itself are unconstrained beyond `t >= now()` —
   /// zero-delay self-sends are legal.  Outside run() (setup), posts
   /// schedule directly into the target calendar.
-  void post(DomainId src, DomainId dst, Time t, Engine::Callback cb);
+  void post(DomainId src, DomainId dst, Time t, Engine::Callback&& cb);
 
   /// Execute barrier windows until every calendar is empty.  May be called
   /// repeatedly; throws std::logic_error when lookahead <= 0.  If a domain
@@ -115,18 +115,17 @@ class ParallelEngine {
     Engine::Callback cb;
   };
 
-  /// Earliest live event time across every calendar; kTimeNever when idle.
-  /// Also stores each calendar's next event time (kTimeNever if none) in
-  /// next_.
-  Time next_event_time();
+  /// Store every calendar's next event time (kTimeNever if none) in next_.
+  /// One full scan per run(); windows keep next_ current incrementally.
+  void scan_calendars();
   /// Move every outbox entry into its target calendar, in (source domain,
   /// send order) order — the deterministic tie-break for same-timestamp
-  /// cross-domain arrivals.
+  /// cross-domain arrivals — lowering next_[dst] to each arrival's time.
   void flush_outboxes();
-  /// Open the window at the global minimum event time and list the
-  /// domains with an event before its horizon.  False when idle.
+  /// Open the window at the minimum over next_ and list the domains with
+  /// an event before its horizon.  False when idle.
   bool begin_window();
-  /// Run domain d's slice of the current window.
+  /// Run domain d's slice of the current window, then refresh next_[d].
   void execute_domain(std::size_t d);
   void run_serial();
   void run_parallel();
@@ -135,7 +134,11 @@ class ParallelEngine {
   std::vector<std::unique_ptr<Engine>> domains_;
   std::vector<std::vector<Pending>> outboxes_;  ///< per source domain
   std::vector<std::exception_ptr> errors_;      ///< per domain, this window
-  std::vector<Time> next_;           ///< per domain, at the last window open
+  /// Per domain: its calendar's earliest live event time.  Exact between
+  /// windows: during a window only a domain's own events schedule on or
+  /// cancel from its calendar, and its worker refreshes the entry after
+  /// the slice; cross-domain arrivals are folded in at the flush.
+  std::vector<Time> next_;
   std::vector<std::size_t> active_;  ///< domains with work this window, by id
   bool running_ = false;
   bool aborted_ = false;

@@ -38,11 +38,12 @@ class OnlineStats {
 /// negative octaves keep quantiles of sub-unit metrics (ratios, GB/s,
 /// sub-µs latencies) meaningful; values at or below 2^-32 clamp to the
 /// first bucket.  Sub-bucket resolution 1/64 (<1.6% relative error),
-/// plenty for latency percentiles.
+/// plenty for latency percentiles.  Only the span of buckets between the
+/// lowest and highest one touched is stored (the full range is 6016
+/// buckets, 48 KB), so constructing, resetting and merging the many short
+/// SLO-window histograms costs what their samples span.
 class Histogram {
  public:
-  Histogram();
-
   void add(double value) { add_count(value, 1); }
   void add_count(double value, std::uint64_t count);
   void merge(const Histogram& other);
@@ -69,10 +70,14 @@ class Histogram {
   static constexpr int kSubBucketBits = 6;  // 64 sub-buckets per octave
   static constexpr int kNegOctaves = 32;    // covers (2^-32, 1)
   static constexpr int kPosOctaves = 62;    // covers [1, 2^62)
-  std::size_t bucket_index(double value) const;
-  double bucket_midpoint(std::size_t idx) const;
+  static std::size_t bucket_index(double value);
+  /// Extend the stored span to cover buckets [lo, hi].
+  void cover(std::size_t lo, std::size_t hi);
 
+  /// Counts of buckets [first_, first_ + buckets_.size()); empty until the
+  /// first sample.
   std::vector<std::uint64_t> buckets_;
+  std::size_t first_ = 0;
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
   double raw_min_ = 0.0;

@@ -12,6 +12,7 @@
 #include "core/resilience.hpp"
 #include "net/fault.hpp"
 #include "net/link.hpp"
+#include "net/network.hpp"
 #include "net/switch.hpp"
 #include "sim/units.hpp"
 
@@ -188,6 +189,37 @@ TEST(SwitchTest, HealthClassRoundTrips) {
   }
   EXPECT_EQ(core::to_string(HealthClass::kDeviceLost), "device-lost");
   EXPECT_THROW(core::parse_health_class("zombie"), std::invalid_argument);
+}
+
+// Network resolves every switch port into its hop table at connect time;
+// ports() must still list only the ports a frame reached, and a brownout
+// schedule written after the table was built must still apply.
+TEST(SwitchTest, HopTableKeepsPortsToThoseThatSawAFrame) {
+  Network net;
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  const NodeId c = net.add_node("c");
+  const NodeId sw = net.add_switch("sw");
+  for (const NodeId h : {a, b, c}) {
+    net.connect(h, sw, LinkConfig{});
+    net.connect(sw, h, LinkConfig{});
+  }
+  net.build_routes();
+  EXPECT_TRUE(net.switch_at(sw).ports().empty());
+
+  net.deliver_ex(0, a, b, kFrame);
+  ASSERT_EQ(net.switch_at(sw).ports().size(), 1u);
+  EXPECT_EQ(net.switch_at(sw).ports().begin()->first, b);
+  EXPECT_EQ(net.switch_at(sw).port(c), nullptr);
+
+  net.switch_at(sw).set_port_windows(
+      c, {{.start = 0, .duration = sim::from_us(10.0),
+           .bandwidth_factor = 0.0}});
+  const Delivery d = net.deliver_ex(sim::from_us(1.0), a, c, kFrame);
+  EXPECT_EQ(d.outcome, FaultOutcome::kSwitchDropped);
+  ASSERT_NE(net.switch_at(sw).port(c), nullptr);
+  EXPECT_EQ(net.switch_at(sw).port(c)->chaos_drops, 1u);
+  EXPECT_EQ(net.switch_at(sw).ports().size(), 2u);
 }
 
 TEST(SwitchTest, QueuePolicyRoundTrips) {
