@@ -178,16 +178,20 @@ void BM_SwitchAdmit(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchAdmit);
 
-// ParallelEngine windows at the serving_rack shape: 22 domains, serial, 4
-// token chains moving in lockstep, so every window holds 4 events on 4
-// domains and each event posts the next one exactly at the horizon.  One
-// item is one window: its open, 4 domain slices and the outbox flush.
+// ParallelEngine windows at the serving_rack shape: 22 domains, 4 token
+// chains moving in lockstep, so every window holds 4 events on 4 domains and
+// each event posts the next one exactly at the horizon.  One item is one
+// window: its open, 4 domain slices and the outbox flush.  The argument is
+// the thread count: 1 is the serial loop, 2 the coordinator with one helper,
+// which runs windows this small inline unless the host stretches one past a
+// handoff; shared_windows counts those.
 void BM_PdesWindow(benchmark::State& state) {
   constexpr std::size_t kDomains = 22;
   constexpr int kChains = 4;
   constexpr int kWindowsPerRun = 1000;
   constexpr tfsim::sim::Time kLookahead = 100;
   tfsim::sim::PdesConfig cfg;
+  cfg.threads = static_cast<unsigned>(state.range(0));
   cfg.lookahead = kLookahead;
   tfsim::sim::ParallelEngine pdes(kDomains, cfg);
   struct Token {
@@ -211,8 +215,9 @@ void BM_PdesWindow(benchmark::State& state) {
     start += kLookahead * (kWindowsPerRun + 1);
   }
   state.SetItemsProcessed(state.iterations() * kWindowsPerRun);
+  state.counters["shared_windows"] = static_cast<double>(pdes.shared_windows());
 }
-BENCHMARK(BM_PdesWindow);
+BENCHMARK(BM_PdesWindow)->ArgName("threads")->Arg(1)->Arg(2);
 
 }  // namespace
 

@@ -12,6 +12,7 @@
 #include "ctrl/health.hpp"
 #include "ctrl/qos.hpp"
 #include "ctrl/serving_control.hpp"
+#include "sim/id_ring.hpp"
 #include "sim/log.hpp"
 
 namespace tfsim::core {
@@ -78,7 +79,7 @@ struct SourceState {
   std::uint32_t epoch = 0;
   /// Dispatch id -> epoch at dispatch time (detector mode only; bounded by
   /// the source's in-flight window, erased at the terminal outcome).
-  std::map<std::uint64_t, std::uint32_t> inflight_epoch;
+  sim::IdRing<std::uint32_t> inflight_epoch;
   /// Two-strike escalation: the first sick verdict re-stripes (maybe it
   /// was the path -- the cheap fix), the second migrates (it was the
   /// lender).  Cleared by migration and rejoin.
@@ -299,7 +300,7 @@ ServingReport run_serving(node::Cluster& cluster) {
         is_probe = true;
       }
       if (src.detector.has_value() && !is_probe) {
-        src.inflight_epoch.emplace(id, src.epoch);
+        src.inflight_epoch.insert(id, src.epoch);
       }
       const std::uint32_t tenant = src.tenant_idx;
       // Per-flow sticky ECMP: real fabrics hash the 5-tuple, not the packet,
@@ -380,10 +381,9 @@ ServingReport run_serving(node::Cluster& cluster) {
       // them to the detector would re-trip it against the *new* route.
       bool stale = false;
       if (!probe && req_id != workloads::OpenLoopSource::kNoRequestId) {
-        const auto it = src.inflight_epoch.find(req_id);
-        if (it != src.inflight_epoch.end()) {
-          stale = it->second != src.epoch;
-          src.inflight_epoch.erase(it);
+        if (const std::uint32_t* epoch = src.inflight_epoch.find(req_id)) {
+          stale = *epoch != src.epoch;
+          src.inflight_epoch.erase(req_id);
         }
       }
       const auto restripe = [&src] {

@@ -1,10 +1,13 @@
 #include "sim/pdes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>  // simlint: allow(R1): the handoff rule's host clock
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,80 +19,127 @@ namespace tfsim::sim {
 
 namespace {
 
-void cpu_relax() {
+/// Host clock of the handoff rule: the TSC where there is one.
+std::uint64_t ticks() {
 #if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
+  return __builtin_ia32_rdtsc();
+#else
+  // simlint: allow(R1): picks the thread that runs a slice, not its result
+  return std::chrono::steady_clock::now().time_since_epoch().count();
 #endif
 }
 
-/// Window barrier: the last worker to arrive runs `Completion` while the
-/// others wait, then releases them.  A window often holds a handful of
-/// events (about a microsecond of work), so waiters spin before they block:
-/// std::barrier parks a waiter in the kernel after a few dozen spins, so
-/// nearly every window paid a futex sleep and a cross-CPU wake-up and the
-/// run's wall time followed the host's wake-up latency.  The spin yields
-/// every kSpinsPerYield rounds, so a waiter that shares a CPU with the
-/// worker it waits for lets that worker run.  With more workers than
-/// hardware threads the waiters block at once.
-template <class Completion>
-class WindowBarrier {
- public:
-  WindowBarrier(std::size_t parties, Completion completion)
-      : parties_(parties),
-        spins_(parties <= std::thread::hardware_concurrency() ? kSpins : 0),
-        completion_(std::move(completion)) {}
+/// Poll `word` until it leaves `old` or `spin` ticks pass (yielding the CPU
+/// every 64 polls), then block on it.  Returns the new value.
+template <class T>
+T await_change(const std::atomic<T>& word, T old, std::uint64_t spin) {
+  for (std::uint64_t i = 1, start = ticks(); ticks() - start < spin; ++i) {
+    if (const T v = word.load(std::memory_order_acquire); v != old) return v;
+    if (i % 64 == 0) std::this_thread::yield();
+  }
+  word.wait(old, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
 
-  void arrive_and_wait() {
-    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
-    // acq_rel: the last arrival sees every worker's window effects.
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      completion_();
-      phase_.store(phase + 1, std::memory_order_release);
-      phase_.notify_all();
-      return;
+/// The helper threads and the claim word of shared windows: epoch | slice
+/// count | next slice.  A claim is a CAS on the current word, which carries
+/// its window's size, so a stale word never claims into the next window.
+class Handoff {
+ public:
+  static constexpr unsigned kBits = 24;
+  static constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
+  static constexpr std::uint64_t kStop = ~std::uint64_t{0};  // count < kMask
+
+  template <class Slice>
+  Handoff(std::size_t helpers, std::uint64_t spin, Slice slice) : spin_(spin) {
+    for (std::size_t h = 0; h < helpers; ++h) {
+      pool_.emplace_back([this, slice] {
+        for (std::uint64_t w = 0;; w = await_change(word_, w, spin_)) {
+          for (std::size_t i = 0; claim(w, i);) {
+            slice(i);
+            done_.fetch_add(1, std::memory_order_release);
+            done_.notify_one();
+          }
+          if (w == kStop) return;
+        }
+      });
     }
-    for (int i = 1; i <= spins_; ++i) {
-      if (phase_.load(std::memory_order_acquire) != phase) return;
-      if (i % kSpinsPerYield == 0) {
-        std::this_thread::yield();
-      } else {
-        cpu_relax();
+  }
+  Handoff(const Handoff&) = delete;
+  Handoff& operator=(const Handoff&) = delete;
+  ~Handoff() {
+    word_.store(kStop, std::memory_order_release);
+    word_.notify_all();
+    for (std::thread& t : pool_) t.join();
+  }
+
+  /// Open slices [first, count); returns the opener's word.
+  std::uint64_t open(std::size_t first, std::size_t count) {
+    const std::uint64_t w = (++epoch_ << 2 * kBits) | count << kBits | first;
+    word_.store(w, std::memory_order_release);
+    word_.notify_all();
+    return w;
+  }
+  bool claim(std::uint64_t& w, std::size_t& i) {
+    while ((w & kMask) < (w >> kBits & kMask)) {
+      if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acq_rel)) {
+        i = w & kMask;
+        return true;
       }
     }
-    phase_.wait(phase, std::memory_order_acquire);
+    return false;
+  }
+  /// Wait for the helpers to finish the `claimed` slices they just took.
+  void wait_done(std::size_t claimed) {
+    handed_ += static_cast<std::uint32_t>(claimed);  // wraps like done_
+    for (std::uint32_t v = done_.load(std::memory_order_acquire); v != handed_;)
+      v = await_change(done_, v, spin_);
   }
 
  private:
-  static constexpr int kSpins = 1 << 15;
-  static constexpr int kSpinsPerYield = 64;
-  const std::size_t parties_;
-  const int spins_;
-  Completion completion_;
-  std::atomic<std::size_t> arrived_{0};
-  std::atomic<std::uint32_t> phase_{0};
+  const std::uint64_t spin_;
+  std::uint64_t epoch_ = 0;
+  std::uint32_t handed_ = 0;  ///< slices the helpers claimed, in all
+  std::atomic<std::uint64_t> word_{0};
+  std::atomic<std::uint32_t> done_{0};
+  std::vector<std::thread> pool_;
 };
+
+/// One handoff's cost in ticks, measured once per process as the first pool
+/// starts: the median round trip of an empty slice through a parked helper.
+std::uint64_t handoff_ticks() {
+  static const std::uint64_t cost = [] {
+    Handoff probe(1, 0, [](std::size_t) {});
+    std::array<std::uint64_t, 9> trips{};
+    for (std::uint32_t k = 0; k < trips.size(); ++k) {
+      const std::uint64_t t0 = ticks();
+      probe.open(0, 1);
+      probe.wait_done(1);
+      trips[k] = ticks() - t0;
+    }
+    std::nth_element(trips.begin(), trips.begin() + 4, trips.end());
+    return trips[4];
+  }();
+  return cost;
+}
 
 }  // namespace
 
 unsigned PdesConfig::threads_from_env() {
   const char* v = std::getenv("TFSIM_PDES");
-  if (v == nullptr || *v == '\0') return 0;
-  if (std::string(v) == "off") return 0;
+  if (v == nullptr || *v == '\0' || std::string(v) == "off") return 0;
   return env_thread_count("TFSIM_PDES", /*fallback=*/0);
 }
 
 ParallelEngine::ParallelEngine(std::size_t num_domains, PdesConfig cfg)
     : cfg_(cfg) {
-  if (num_domains == 0) {
-    throw std::invalid_argument("ParallelEngine: need at least one domain");
+  if (num_domains == 0 || num_domains >= Handoff::kMask) {
+    throw std::invalid_argument("ParallelEngine: need 1 to 16777214 domains");
   }
-  domains_.reserve(num_domains);
   for (std::size_t d = 0; d < num_domains; ++d) {
     domains_.push_back(std::make_unique<Engine>());
   }
   outboxes_.resize(num_domains);
-  errors_.resize(num_domains);
   next_.resize(num_domains);
 }
 
@@ -106,10 +156,8 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
     throw std::out_of_range("ParallelEngine::post: domain id out of range");
   }
   if (!running_ || src == dst) {
-    // Setup-time posts and same-domain sends go straight onto the target
-    // calendar.  During a window the posting thread owns the src calendar,
-    // so a direct schedule is race-free; zero-delay self-sends are legal
-    // because schedule_at only requires t >= the domain's own now().
+    // During a window the posting thread owns src's calendar, so a direct
+    // schedule is race-free; schedule_at only requires t >= its now().
     domains_[dst]->schedule_at(t, std::move(cb));
     return;
   }
@@ -120,23 +168,13 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
         " (the model's delay to another domain must be >= the configured "
         "lookahead; derive lookahead from net::Network::min_propagation)");
   }
-  // Single writer: during a window only the thread executing `src` appends
-  // to outboxes_[src]; the flush happens behind the window barrier.
+  // Single writer: only the thread running `src`'s slice appends here.
   outboxes_[src].emplace_back(dst, t, std::move(cb));
 }
 
-void ParallelEngine::scan_calendars() {
-  for (std::size_t d = 0; d < domains_.size(); ++d) {
-    next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
-  }
-}
-
 void ParallelEngine::flush_outboxes() {
-  // Fixed (source domain, send order) flush so same-timestamp cross-domain
-  // arrivals get identical sequence numbers in the target calendar for
-  // every thread count -- the load-bearing line of the determinism
-  // argument (DESIGN.md section 13).  Only domains that ran this window can
-  // have posted, and active_ lists them in id order.
+  // Fixed (source domain, send order) order: the load-bearing line of the
+  // determinism argument (DESIGN.md section 13).  Only active domains post.
   for (const std::size_t src : active_) {
     std::vector<Pending>& box = outboxes_[src];
     for (Pending& p : box) {
@@ -153,10 +191,7 @@ bool ParallelEngine::begin_window() {
   window_start_ = t;
   horizon_ =
       (t > kTimeNever - cfg_.lookahead) ? kTimeNever : t + cfg_.lookahead;
-  // A domain without an event before the horizon has nothing to run in
-  // this window, and none can arrive: cross-domain posts land at or after
-  // the horizon.  Workers claim only the active domains, so a window costs
-  // one shared-counter claim per busy domain instead of one per domain.
+  // No event can arrive before the horizon: cross-domain posts land after.
   active_.clear();
   for (std::size_t d = 0; d < next_.size(); ++d) {
     if (next_[d] < horizon_) active_.push_back(d);
@@ -166,9 +201,8 @@ bool ParallelEngine::begin_window() {
 }
 
 void ParallelEngine::execute_domain(std::size_t d) {
-  Engine& e = *domains_[d];
-  e.run_before(horizon_);
-  next_[d] = e.next_event_time().value_or(kTimeNever);
+  domains_[d]->run_before(horizon_);
+  next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
 }
 
 void ParallelEngine::run_serial() {
@@ -176,78 +210,52 @@ void ParallelEngine::run_serial() {
     // Domains in id order is one legal (and the reference) schedule of the
     // independent window slices; the parallel path must match it exactly.
     for (const std::size_t d : active_) execute_domain(d);
+    ++inline_windows_;
     flush_outboxes();
   }
 }
 
 void ParallelEngine::run_parallel() {
-  if (!begin_window()) return;  // idle: nothing scheduled anywhere
-  const std::size_t nthreads =
-      std::min<std::size_t>(cfg_.threads, domains_.size());
-  std::atomic<std::size_t> next_domain{0};
-  std::atomic<bool> done{false};
-  std::exception_ptr flush_error;
-
-  // Barrier phase completion: runs on one worker while the rest wait, so
-  // it may touch calendars and outboxes freely.  Must not exit via an
-  // exception (it would strand the waiting workers), hence the catch-all.
-  auto on_window_done = [this, &next_domain, &done, &flush_error]() noexcept {
-    for (const std::exception_ptr& e : errors_) {
-      if (e != nullptr) {
-        aborted_ = true;
-        break;
-      }
-    }
-    if (!aborted_) {
-      try {
-        flush_outboxes();
-        if (!begin_window()) done.store(true, std::memory_order_relaxed);
-      } catch (...) {
-        flush_error = std::current_exception();
-        aborted_ = true;
-      }
-    }
-    if (aborted_) done.store(true, std::memory_order_relaxed);
-    next_domain.store(0, std::memory_order_relaxed);
-  };
-  WindowBarrier sync(nthreads, on_window_done);
-
-  auto worker = [this, &next_domain, &done, &sync] {
-    while (!done.load(std::memory_order_relaxed)) {
-      for (;;) {
-        const std::size_t i =
-            next_domain.fetch_add(1, std::memory_order_relaxed);
-        if (i >= active_.size()) break;
-        const std::size_t d = active_[i];
-        try {
-          execute_domain(d);
-        } catch (...) {
-          errors_[d] = std::current_exception();
-        }
-      }
-      // The barrier phase completion publishes its effects (flushed
-      // calendars, next window bounds, the done flag) to every worker.
-      sync.arrive_and_wait();
+  // The handoff rule; pdes.hpp and DESIGN.md section 13 give the reasons.
+  const std::uint64_t threshold = handoff_ticks();
+  const auto slice = [this](std::size_t i) {
+    try {
+      execute_domain(active_[i]);
+    } catch (...) {
+      errors_[active_[i]] = std::current_exception();
     }
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(nthreads);
-  for (std::size_t w = 0; w < nthreads; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
-  if (aborted_) {
-    // Serial equivalence for errors too: the lowest-id failing domain in
-    // the aborting window wins, matching run_serial's in-order execution;
-    // a flush failure surfaces only when every domain slice succeeded.
-    for (std::exception_ptr& e : errors_) {
-      if (e != nullptr) {
-        std::exception_ptr first = std::move(e);
-        for (auto& other : errors_) other = nullptr;
-        std::rethrow_exception(first);
-      }
+  Handoff handoff(
+      std::min<std::size_t>(cfg_.threads, domains_.size()) - 1,
+      cfg_.threads <= std::thread::hardware_concurrency() ? threshold : 0,
+      slice);
+  bool at_once = false;  // the last shared window outlasted a handoff
+  while (begin_window()) {
+    const std::size_t n = active_.size();
+    const std::uint64_t start = ticks();
+    std::size_t next = 0;
+    // A lone last slice stays inline: the coordinator could only wait on it.
+    while (!at_once && next < n) {
+      slice(next++);
+      at_once = n - next > 1 && ticks() - start > threshold;
     }
-    if (flush_error != nullptr) std::rethrow_exception(flush_error);
+    if (next == n) {
+      ++inline_windows_;
+    } else {
+      ++shared_windows_;
+      std::uint64_t w = handoff.open(next, n);
+      std::size_t mine = 0;
+      for (std::size_t i = 0; handoff.claim(w, i); ++mine) slice(i);
+      // The word is exhausted: the helpers claimed every other slice.
+      helper_slices_ += n - next - mine;
+      handoff.wait_done(n - next - mine);
+      at_once = ticks() - start > threshold;
+    }
+    // As in run_serial, the lowest failing domain's exception wins.
+    for (const std::size_t d : active_) {
+      if (errors_[d] != nullptr) std::rethrow_exception(errors_[d]);
+    }
+    flush_outboxes();
   }
 }
 
@@ -260,20 +268,14 @@ void ParallelEngine::run() {
         "ParallelEngine::run: lookahead is unset (derive it from "
         "net::Network::min_propagation or set it explicitly)");
   }
-  running_ = true;
-  aborted_ = false;
   errors_.assign(domains_.size(), nullptr);
-  struct RunningScope {
-    explicit RunningScope(bool& flag) : flag_(flag) {}
-    RunningScope(const RunningScope&) = delete;
-    RunningScope& operator=(const RunningScope&) = delete;
-    ~RunningScope() { flag_ = false; }
-
-   private:
-    bool& flag_;
-  };
-  const RunningScope scope(running_);
-  scan_calendars();
+  running_ = true;
+  const std::unique_ptr<bool, void (*)(bool*)> clear_running(
+      &running_, [](bool* running) { *running = false; });
+  // One full scan per run(); windows keep next_ current incrementally.
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
+  }
   if (cfg_.threads > 1 && domains_.size() > 1) {
     run_parallel();
   } else {
@@ -293,15 +295,13 @@ void ParallelEngine::run() {
 }
 
 std::uint64_t ParallelEngine::executed() const {
-  std::uint64_t total = 0;
-  for (const auto& d : domains_) total += d->executed();
-  return total;
+  return std::accumulate(domains_.begin(), domains_.end(), std::uint64_t{0},
+                         [](auto n, auto& d) { return n + d->executed(); });
 }
 
 std::size_t ParallelEngine::pending() const {
-  std::size_t total = 0;
-  for (const auto& d : domains_) total += d->pending();
-  return total;
+  return std::accumulate(domains_.begin(), domains_.end(), std::size_t{0},
+                         [](auto n, auto& d) { return n + d->pending(); });
 }
 
 }  // namespace tfsim::sim

@@ -1,10 +1,10 @@
 // Intra-run parallel discrete-event simulation (PDES): per-domain slab
-// calendars behind a conservative barrier-window facade.
+// calendars behind a conservative window facade.
 //
 // SweepRunner parallelizes *across* sweep points; ParallelEngine makes one
 // big scenario use all cores.  The design follows the classic conservative
-// (Chandy-Misra style, barrier-window variant) recipe, specialized to this
-// simulator's invariants:
+// (Chandy-Misra style, synchronous-window variant) recipe, specialized to
+// this simulator's invariants:
 //
 //  * One Engine calendar per domain (node partition; sim/domain.hpp
 //    ownership, proven event-dispatch-local by the runtime DomainChecker
@@ -16,10 +16,22 @@
 //    through post(), which enforces `t >= horizon()` while a window is
 //    executing.
 //  * Execution advances in windows [T, T + lookahead): every domain runs
-//    its own events with time < horizon independently (in parallel),
-//    then a barrier flushes the cross-domain outboxes into the target
-//    calendars in a fixed order (source-domain id, send order) and opens
-//    the next window at the new global minimum event time.
+//    its own events with time < horizon independently, then the cross-
+//    domain outboxes are flushed into the target calendars in a fixed
+//    order (source-domain id, send order) and the next window opens at the
+//    new global minimum event time.
+//  * A window usually holds a handful of events, far less work than it
+//    costs to hand a slice to another core.  So the thread that calls
+//    run() opens each window and runs its domain slices itself, in id
+//    order.  Only once its own slices in that window have run longer than
+//    one handoff does it open the rest to the threads-1 helpers, which
+//    claim slices through an epoch-tagged claim word; it claims alongside
+//    them, waits only for the slices they claimed, and flushes.  A lone
+//    last slice is never handed off, and a window that follows a shared one
+//    which outlasted a handoff is opened from its first slice.  The handoff
+//    cost is the round trip of an empty slice through a parked helper,
+//    measured on the host once per process when the first helper pool
+//    starts; waiters spin that long before they block.
 //
 // Determinism is inherited from the sweep runner's contract and is
 // non-negotiable: for a fixed (domains, lookahead, workload), every thread
@@ -42,16 +54,16 @@
 namespace tfsim::sim {
 
 struct PdesConfig {
-  /// Worker threads executing domain windows.  0 or 1 = run every window
-  /// inline on the calling thread (the serial reference the determinism
-  /// digests compare against); N > 1 = a pool of N workers.
+  /// Threads executing domain windows.  0 or 1 = run every window inline
+  /// on the calling thread (the serial reference the determinism digests
+  /// compare against); N > 1 = the calling thread plus N-1 helpers.
   unsigned threads = 0;
   /// Conservative sync horizon; must be > 0 before run().  Derive it from
   /// the fabric (net::Network::min_propagation()) or set it explicitly.
   Time lookahead = 0;
 
   /// Worker count from $TFSIM_PDES: unset/empty/"off" -> 0 (PDES off),
-  /// 0 -> one worker per hardware thread, N -> N workers.  Junk, negative
+  /// 0 -> one thread per hardware thread, N -> N threads.  Junk, negative
   /// and overflowing values are rejected with a warning (see
   /// sim::env_thread_count); oversized values clamp to kMaxEnvThreads.
   static unsigned threads_from_env();
@@ -84,11 +96,11 @@ class ParallelEngine {
   /// schedule directly into the target calendar.
   void post(DomainId src, DomainId dst, Time t, Engine::Callback&& cb);
 
-  /// Execute barrier windows until every calendar is empty.  May be called
+  /// Execute windows until every calendar is empty.  May be called
   /// repeatedly; throws std::logic_error when lookahead <= 0.  If a domain
-  /// callback throws, the run aborts at the window barrier and the first
-  /// failing domain's exception (lowest id) is rethrown; calendar state
-  /// after an aborted run is unspecified.
+  /// callback throws, the run aborts at the end of that window and the
+  /// first failing domain's exception (lowest id) is rethrown; calendar
+  /// state after an aborted run is unspecified.
   void run();
 
   /// True while run() is executing (post() uses this to pick the
@@ -100,8 +112,15 @@ class ParallelEngine {
   /// this time.
   Time horizon() const { return horizon_; }
 
-  /// Barrier windows executed since construction.
+  /// Windows executed since construction.
   std::uint64_t windows() const { return windows_; }
+  /// PDES self-profile since construction: windows the calling thread ran
+  /// alone, windows it shared with helpers (inline + shared == windows()),
+  /// and slices the helpers ran.  They follow host timing, not the model,
+  /// so they belong in no digest or golden output.
+  std::uint64_t inline_windows() const { return inline_windows_; }
+  std::uint64_t shared_windows() const { return shared_windows_; }
+  std::uint64_t helper_slices() const { return helper_slices_; }
   /// Total events executed across every domain.
   std::uint64_t executed() const;
   /// Live events pending across every domain (outboxes are always empty
@@ -115,9 +134,6 @@ class ParallelEngine {
     Engine::Callback cb;
   };
 
-  /// Store every calendar's next event time (kTimeNever if none) in next_.
-  /// One full scan per run(); windows keep next_ current incrementally.
-  void scan_calendars();
   /// Move every outbox entry into its target calendar, in (source domain,
   /// send order) order — the deterministic tie-break for same-timestamp
   /// cross-domain arrivals — lowering next_[dst] to each arrival's time.
@@ -136,15 +152,17 @@ class ParallelEngine {
   std::vector<std::exception_ptr> errors_;      ///< per domain, this window
   /// Per domain: its calendar's earliest live event time.  Exact between
   /// windows: during a window only a domain's own events schedule on or
-  /// cancel from its calendar, and its worker refreshes the entry after
-  /// the slice; cross-domain arrivals are folded in at the flush.
+  /// cancel from its calendar, and the thread that ran the slice refreshes
+  /// the entry; cross-domain arrivals are folded in at the flush.
   std::vector<Time> next_;
   std::vector<std::size_t> active_;  ///< domains with work this window, by id
   bool running_ = false;
-  bool aborted_ = false;
   Time window_start_ = 0;
   Time horizon_ = 0;
   std::uint64_t windows_ = 0;
+  std::uint64_t inline_windows_ = 0;
+  std::uint64_t shared_windows_ = 0;
+  std::uint64_t helper_slices_ = 0;
 };
 
 }  // namespace tfsim::sim

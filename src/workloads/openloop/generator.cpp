@@ -51,7 +51,7 @@ void OpenLoopSource::dispatch(sim::Time now, sim::Time arrival) {
       finish(id, engine_.now(), RequestOutcome::kFailed);
     });
   }
-  pending_.emplace(id, p);
+  pending_.insert(id, p);
   dispatch_(now, id, [this, id](sim::Time t, RequestOutcome outcome) {
     finish(id, t, outcome);
   });
@@ -59,13 +59,13 @@ void OpenLoopSource::dispatch(sim::Time now, sim::Time arrival) {
 
 void OpenLoopSource::finish(std::uint64_t req_id, sim::Time t,
                             RequestOutcome outcome) {
-  auto it = pending_.find(req_id);
+  Pending* p = pending_.find(req_id);
   // Late responses (the timeout already declared the request failed) are
   // dropped, exactly like a NIC completing a replay-abandoned tag.
-  if (it == pending_.end()) return;
-  const sim::Time arrival = it->second.arrival;
-  engine_.cancel(it->second.timeout);
-  pending_.erase(it);
+  if (p == nullptr) return;
+  const sim::Time arrival = p->arrival;
+  engine_.cancel(p->timeout);
+  pending_.erase(req_id);
   --counters_.in_flight;
   switch (outcome) {
     case RequestOutcome::kCompleted: ++counters_.completed; break;

@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 
 #include "sim/engine.hpp"
+#include "sim/id_ring.hpp"
 #include "workloads/openloop/arrivals.hpp"
 
 namespace tfsim::workloads {
@@ -113,8 +113,8 @@ class OpenLoopSource {
   ArrivalProcess arrivals_;
   OpenLoopCounters counters_;
   std::uint64_t next_req_id_ = 0;
-  std::map<std::uint64_t, Pending> pending_;  // ordered: deterministic
-  std::deque<sim::Time> queue_;               // arrival times, FIFO
+  sim::IdRing<Pending> pending_;  // by request id
+  std::deque<sim::Time> queue_;   // arrival times, FIFO
 };
 
 }  // namespace tfsim::workloads

@@ -95,22 +95,34 @@ TEST(HopAllocationTest, FiveHopsAllocateAsOftenAsOneHop) {
   EXPECT_EQ(one_hop, 1u) << "one RoutedFrame per message";
 }
 
-// The whole serving loop: a request costs its two RoutedFrames plus the
-// open-loop source's own bookkeeping (about 3 allocations per offered
-// request on serving_diurnal; it was 11.4 when every hop and every
-// continuation allocated).
-TEST(HopAllocationTest, ServedRequestAllocatesAFewTimes) {
-  auto spec = *scenario::builtin("serving_diurnal");
+/// Heap allocations per offered request over a whole serial run_serving.
+double allocations_per_request(const char* scenario) {
+  auto spec = *scenario::builtin(scenario);
   spec.pdes.threads = 1;
   node::Cluster cluster(spec);
   const std::uint64_t before = g_allocations.load();
   const core::ServingReport rep = core::run_serving(cluster);
   const std::uint64_t allocations = g_allocations.load() - before;
-  ASSERT_GT(rep.totals.offered, 0u);
+  EXPECT_GT(rep.totals.offered, 0u);
   const double per_request = static_cast<double>(allocations) /
                              static_cast<double>(rep.totals.offered);
-  EXPECT_LE(per_request, 4.0) << allocations << " allocations for "
-                              << rep.totals.offered << " requests";
+  return per_request;
+}
+
+// The whole serving loop: a request costs its two RoutedFrames and little
+// else.  serving_diurnal measured 2.09 allocations per offered request once
+// the open-loop source kept its in-flight records in an id-indexed ring
+// (3.09 with a std::map node per request, 11.4 when every hop and every
+// continuation allocated).
+TEST(HopAllocationTest, ServedRequestAllocatesAFewTimes) {
+  EXPECT_LE(allocations_per_request("serving_diurnal"), 2.1);
+}
+
+// chaos_rack runs the health detector, whose per-request epoch record is
+// ring-indexed too: 2.64 allocations per offered request (4.62 with two
+// std::map nodes per request).
+TEST(HopAllocationTest, ChaosRequestAllocatesAFewTimes) {
+  EXPECT_LE(allocations_per_request("chaos_rack"), 2.65);
 }
 
 }  // namespace

@@ -6,13 +6,21 @@
 // that land exactly at the horizon (the next window's start).  The per-
 // domain event order and the window count must match at 1, 2 and 4
 // workers, and both were recorded from the full-rescan implementation.
+//
+// The rest pins the coordinator and its helpers: windows that outlast a
+// handoff are shared, and a shared window followed by a wider one must not
+// let a helper claim into the new window before it is opened.  Those tests
+// make windows long by spinning on the wall clock inside events, far above
+// any host's handoff cost; the spin changes host time only, never results.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -158,6 +166,151 @@ TEST(PdesWindowTest, EventScheduledBehindPostFailsTheRun) {
   });
   EXPECT_THROW(pdes.run(), std::logic_error);
   EXPECT_FALSE(ran);
+}
+
+void spin_for(std::chrono::microseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// A few milliseconds per heavy event: far above a handoff even on a loaded
+// host or under a sanitizer, where the measured round trip grows.
+constexpr std::chrono::microseconds kHeavy{5000};
+
+// Rounds of two windows: one on domains 0-2, shared because domain 0's heavy
+// slice alone outlasts a handoff, then one on eleven domains, so a helper
+// still holding the shared window's claim word meets a wider active list.
+// Each event of the first window also posts to a domain of the second one
+// at the horizon.
+std::string run_shared_then_wider(unsigned threads,
+                                  std::uint64_t& shared_windows) {
+  constexpr std::size_t kDomains = 14;
+  constexpr Time kLookahead = 1000;
+  ParallelEngine pdes(kDomains, config(threads, kLookahead));
+  std::vector<DomainLog> logs(kDomains);
+  for (int r = 0; r < 6; ++r) {
+    const Time t = static_cast<Time>(r) * 4 * kLookahead;
+    for (DomainId d = 0; d < 3; ++d) {
+      pdes.post(d, d, t + d, [&pdes, &logs, d] {
+        if (d == 0) spin_for(kHeavy);
+        logs[d].record(pdes.domain(d).now(), 1);
+        const auto to = static_cast<DomainId>(3 + d);
+        pdes.post(d, to, pdes.horizon(), [&pdes, &logs, to] {
+          logs[to].record(pdes.domain(to).now(), 3);
+        });
+      });
+    }
+    for (DomainId d = 3; d < kDomains; ++d) {
+      pdes.post(d, d, t + kLookahead + d, [&pdes, &logs, d] {
+        logs[d].record(pdes.domain(d).now(), 2);
+      });
+    }
+  }
+  pdes.run();
+  shared_windows = pdes.shared_windows();
+  EXPECT_EQ(pdes.inline_windows() + pdes.shared_windows(), pdes.windows());
+  return summary(pdes, logs);
+}
+
+TEST(PdesWindowTest, SharedWindowThenWiderWindowMatchesSerial) {
+  std::uint64_t shared = 0;
+  const std::string serial = run_shared_then_wider(1, shared);
+  EXPECT_NE(serial.find("windows=12"), std::string::npos) << serial;
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(run_shared_then_wider(threads, shared), serial)
+        << threads << " threads";
+    EXPECT_GT(shared, 0u) << threads << " threads";
+  }
+}
+
+// Eight domains, each running one heavy event per window for five windows:
+// granularity control must still hand slices to the helpers.
+TEST(PdesWindowTest, HeavyWindowsRunSlicesOnHelpers) {
+  for (const unsigned threads : {2u, 4u}) {
+    ParallelEngine pdes(8, config(threads, 100));
+    std::vector<int> ran(8, 0);
+    std::function<void(DomainId, int)> step = [&](DomainId d, int left) {
+      spin_for(kHeavy / 2);
+      ++ran[d];
+      if (left > 1) {
+        pdes.post(d, d, pdes.horizon(),
+                  [&step, d, left] { step(d, left - 1); });
+      }
+    };
+    for (DomainId d = 0; d < 8; ++d) {
+      pdes.post(d, d, 0, [&step, d] { step(d, 5); });
+    }
+    pdes.run();
+    EXPECT_EQ(ran, std::vector<int>(8, 5));
+    EXPECT_EQ(pdes.windows(), 5u);
+    EXPECT_GT(pdes.helper_slices(), 0u) << threads << " threads";
+    EXPECT_EQ(pdes.inline_windows() + pdes.shared_windows(), pdes.windows());
+  }
+}
+
+// Two active domains per window: however long the first slice runs, a lone
+// last slice is never handed off, so no window is shared.
+TEST(PdesWindowTest, LoneLastSliceStaysInline) {
+  ParallelEngine pdes(4, config(2, 100));
+  for (Time t = 0; t < 300; t += 100) {
+    pdes.post(0, 0, t, [] { spin_for(kHeavy / 2); });
+    pdes.post(1, 1, t, [] {});
+  }
+  pdes.run();
+  EXPECT_EQ(pdes.windows(), 3u);
+  EXPECT_EQ(pdes.shared_windows(), 0u);
+  EXPECT_EQ(pdes.helper_slices(), 0u);
+}
+
+// Every window is either run inline or shared, serial runs included.
+TEST(PdesWindowTest, InlinePlusSharedCountsEveryWindow) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ParallelEngine pdes(4, config(threads, 100));
+    std::function<void(DomainId, int)> step = [&](DomainId d, int left) {
+      if (left == 0) return;
+      const auto to = static_cast<DomainId>((d + 1) % 4);
+      pdes.post(d, to, pdes.horizon(),
+                [&step, to, left] { step(to, left - 1); });
+    };
+    pdes.post(0, 0, 0, [&step] { step(0, 50); });
+    pdes.run();
+    EXPECT_EQ(pdes.windows(), 51u);
+    EXPECT_EQ(pdes.inline_windows() + pdes.shared_windows(), pdes.windows())
+        << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(pdes.shared_windows(), 0u);
+    }
+  }
+}
+
+// The lowest failing domain wins even when a helper ran its slice: domain 0
+// outlasts a handoff, so domains 1-3 are shared; the coordinator usually
+// claims heavy domain 1 while a helper takes domain 2, the lowest that
+// throws.  Retried until a helper has run domain 2 at least once.
+TEST(PdesWindowTest, LowestFailingDomainWinsWhenAHelperRanIt) {
+  const std::thread::id coordinator = std::this_thread::get_id();
+  bool on_helper = false;
+  for (int attempt = 0; attempt < 20 && !on_helper; ++attempt) {
+    ParallelEngine pdes(4, config(2, 100));
+    std::thread::id ran_on;
+    pdes.post(0, 0, 10, [] { spin_for(kHeavy); });
+    pdes.post(1, 1, 10, [] { spin_for(kHeavy); });
+    pdes.post(2, 2, 10, [&ran_on] {
+      ran_on = std::this_thread::get_id();
+      throw std::runtime_error("boom 2");
+    });
+    pdes.post(3, 3, 10, [] { throw std::runtime_error("boom 3"); });
+    try {
+      pdes.run();
+      FAIL() << "expected the domain exception to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 2");
+    }
+    EXPECT_FALSE(pdes.running());
+    on_helper = ran_on != coordinator;
+  }
+  EXPECT_TRUE(on_helper) << "no attempt ran domain 2 on a helper";
 }
 
 }  // namespace
