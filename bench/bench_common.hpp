@@ -91,8 +91,9 @@ inline std::string csv_path(const std::string& file) {
 //   $TFSIM_SCENARIO (explicit file override),
 //   $TFSIM_SCENARIO_DIR/<name>.json,
 //   ./scenarios/<name>.json,
-//   <source tree>/scenarios/<name>.json (baked in at build time),
-//   the built-in programmatic spec of the same name.
+//   <source tree>/scenarios/<name>.json (baked in at build time).
+// The files are the only definition of each scenario; a name no file
+// matches is an error.
 
 inline bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
@@ -126,7 +127,6 @@ inline scenario::ScenarioSpec load_scenario(const std::string& name_or_path) {
                                  file);
     }
 #endif
-    if (auto spec = scenario::builtin(name_or_path)) return *spec;
     std::fprintf(stderr, "error: unknown scenario \"%s\"\n",
                  name_or_path.c_str());
   } catch (const std::exception& e) {

@@ -134,7 +134,9 @@ void BM_RoutedHop(benchmark::State& state) {
   tfsim::net::Network net;
   std::vector<tfsim::net::NodeId> hosts;
   for (std::size_t i = 0; i < kHosts; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    std::string name = "h";
+    name += std::to_string(i);
+    hosts.push_back(net.add_node(name));
   }
   tfsim::net::LeafSpineConfig cfg;
   cfg.leaves = 8;

@@ -1,615 +1,711 @@
 #include "scenario/scenario.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
 
 namespace tfsim::scenario {
 
 namespace {
 
-constexpr double kBytesPerGiB = 1024.0 * 1024.0 * 1024.0;
+// --- enum names --------------------------------------------------------------
 
-/// Reject unknown keys so a typo in a scenario file is an error, not a
-/// silently-ignored setting.
-void check_keys(const Json& obj, const std::string& where,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    bool ok = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
+template <class E>
+struct EnumName {
+  E value;
+  const char* name;
+};
+
+constexpr EnumName<Role> kRoleNames[] = {{Role::kBorrower, "borrower"},
+                                         {Role::kLender, "lender"}};
+constexpr EnumName<TopologyKind> kTopologyNames[] = {
+    {TopologyKind::kDirect, "direct"},
+    {TopologyKind::kDumbbell, "dumbbell"},
+    {TopologyKind::kLeafSpine, "leaf_spine"}};
+constexpr EnumName<ChaosKind> kChaosNames[] = {
+    {ChaosKind::kKillSwitch, "kill_switch"},
+    {ChaosKind::kBrownoutPort, "brownout_port"},
+    {ChaosKind::kGrayLender, "gray_lender"},
+    {ChaosKind::kRecover, "recover"}};
+
+template <class E, std::size_t N>
+std::string name_of(const EnumName<E> (&names)[N], E value) {
+  for (const auto& n : names) {
+    if (n.value == value) return n.name;
+  }
+  return "?";
+}
+
+/// Throws std::invalid_argument listing the accepted names.
+template <class E, std::size_t N>
+E parse_named(const EnumName<E> (&names)[N], const std::string& name,
+              const char* what) {
+  for (const auto& n : names) {
+    if (name == n.name) return n.value;
+  }
+  std::string msg = "unknown ";
+  msg.append(what).append(" \"").append(name).append("\" (expected ");
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) msg.append(i + 1 == N ? " or " : ", ");
+    msg.append(names[i].name);
+  }
+  throw std::invalid_argument(msg.append(")"));
+}
+
+// --- the schema walker -------------------------------------------------------
+//
+// Every block of a scenario file is one static Table: a row per key, naming
+// the member it binds (a chain of member pointers) and the codec that
+// converts between the JSON value and the member's type and unit.  One
+// walker reads any block -- unknown keys rejected, absent keys left at the
+// struct default -- and one writes it back, in row order, for
+// resolved_json (a codec that writes null leaves its key out).  A table may
+// name a validator for the range checks that relate a block's fields; it
+// runs once the block has been read.
+
+/// Where a value sits in the document: a chain of keys and array indices up
+/// to the root, rendered ("nodes[1].dram") only when an error names it.
+struct Path {
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+  const Path* up = nullptr;
+  std::string_view key;
+  std::size_t index = kNoIndex;
+
+  std::string str() const {
+    std::string s = up != nullptr ? up->str() : std::string();
+    if (index != kNoIndex) {
+      return s.append("[").append(std::to_string(index)).append("]");
     }
-    if (!ok) {
-      throw JsonError("scenario: unknown key \"" + key + "\" in " + where);
-    }
+    return (s.empty() ? s : s.append(".")).append(key);
   }
+};
+
+JsonError error_at(const Path& at, const std::string& msg) {
+  const std::string where = at.str();
+  return JsonError(where.empty() ? "scenario: " + msg
+                                 : "scenario: " + where + ": " + msg);
 }
 
-double get_double(const Json& obj, const char* key, double def) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_double() : def;
-}
+/// One key of a block, bound to `block.*Member...` (no member: the whole
+/// block) and converted by codec C.  A required row must be present.
+template <class C, auto... Member>
+struct Row {
+  using Codec = C;
+  std::string_view key;
+  bool required = false;
 
-std::uint64_t get_uint(const Json& obj, const char* key, std::uint64_t def) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_uint() : def;
-}
-
-std::string get_string(const Json& obj, const char* key,
-                       const std::string& def) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_string() : def;
-}
-
-mem::DramConfig parse_dram(const Json& obj) {
-  check_keys(obj, "dram", {"capacity_gib", "bandwidth_gbyte", "latency_ns"});
-  mem::DramConfig cfg;
-  cfg.capacity_bytes = static_cast<std::uint64_t>(
-      get_double(obj, "capacity_gib",
-                 static_cast<double>(cfg.capacity_bytes) / kBytesPerGiB) *
-      kBytesPerGiB);
-  cfg.bus_bandwidth = sim::Bandwidth::from_gbyte(
-      get_double(obj, "bandwidth_gbyte", cfg.bus_bandwidth.gbyte_per_sec()));
-  cfg.access_latency = sim::from_ns(
-      get_double(obj, "latency_ns", sim::to_ns(cfg.access_latency)));
-  return cfg;
-}
-
-nic::NicConfig parse_nic(const Json& obj) {
-  check_keys(obj, "nic",
-             {"window_entries", "latency_reserved_entries", "fpga_clock_mhz",
-              "period", "processing_ns", "retry_timeout_us", "retry_backoff",
-              "max_retries", "detach_threshold"});
-  nic::NicConfig cfg;
-  cfg.window_entries =
-      static_cast<std::uint32_t>(get_uint(obj, "window_entries", cfg.window_entries));
-  cfg.latency_reserved_entries = static_cast<std::uint32_t>(
-      get_uint(obj, "latency_reserved_entries", cfg.latency_reserved_entries));
-  cfg.fpga_clock_hz =
-      get_double(obj, "fpga_clock_mhz", cfg.fpga_clock_hz / 1e6) * 1e6;
-  cfg.period = get_uint(obj, "period", cfg.period);
-  cfg.processing_latency = sim::from_ns(
-      get_double(obj, "processing_ns", sim::to_ns(cfg.processing_latency)));
-  cfg.replay.retry_timeout = sim::from_us(get_double(
-      obj, "retry_timeout_us", sim::to_us(cfg.replay.retry_timeout)));
-  cfg.replay.backoff = get_double(obj, "retry_backoff", cfg.replay.backoff);
-  cfg.replay.max_retries = static_cast<std::uint32_t>(
-      get_uint(obj, "max_retries", cfg.replay.max_retries));
-  cfg.replay.detach_threshold = static_cast<std::uint32_t>(
-      get_uint(obj, "detach_threshold", cfg.replay.detach_threshold));
-  return cfg;
-}
-
-net::LinkConfig parse_link(const Json& obj, const std::string& where) {
-  check_keys(obj, where, {"bandwidth_gbit", "propagation_ns"});
-  net::LinkConfig cfg;
-  cfg.bandwidth = sim::Bandwidth::from_gbit(
-      get_double(obj, "bandwidth_gbit", cfg.bandwidth.gbit_per_sec()));
-  cfg.propagation = sim::from_ns(
-      get_double(obj, "propagation_ns", sim::to_ns(cfg.propagation)));
-  return cfg;
-}
-
-net::SwitchConfig parse_switch(const Json& obj) {
-  check_keys(obj, "switch", {"buffer_kib", "policy"});
-  net::SwitchConfig cfg;
-  cfg.buffer_bytes = static_cast<std::uint64_t>(
-      get_double(obj, "buffer_kib",
-                 static_cast<double>(cfg.buffer_bytes) / 1024.0) *
-      1024.0);
-  const std::string policy =
-      get_string(obj, "policy", net::to_string(cfg.policy));
-  try {
-    cfg.policy = net::parse_queue_policy(policy);
-  } catch (const std::invalid_argument&) {
-    throw JsonError("scenario: unknown switch policy \"" + policy + "\"");
+  template <class T>
+  static constexpr auto& of(T& block) {
+    return (block .* ... .* Member);
   }
-  return cfg;
+};
+
+template <class T, class... Rows>
+struct Table {
+  void (*validate)(T&);
+  std::tuple<Rows...> rows;
+};
+
+template <class T, class... Rows>
+constexpr Table<T, Rows...> table(void (*validate)(T&), Rows... rows) {
+  return {validate, {rows...}};
 }
 
-NodeDecl parse_node(const Json& obj) {
-  check_keys(obj, "node", {"name", "role", "count", "dram", "with_nic", "nic"});
-  NodeDecl decl;
-  decl.name = get_string(obj, "name", decl.name);
-  decl.role = parse_role(get_string(obj, "role", "lender"));
-  decl.count = static_cast<std::uint32_t>(get_uint(obj, "count", 1));
-  if (decl.count == 0) throw JsonError("scenario: node count must be >= 1");
-  if (const Json* d = obj.find("dram")) decl.dram = parse_dram(*d);
-  if (const Json* w = obj.find("with_nic")) decl.with_nic = w->as_bool();
-  if (const Json* n = obj.find("nic")) decl.nic = parse_nic(*n);
-  return decl;
-}
-
-Json dump_node(const NodeDecl& d) {
-  Json node = Json::object();
-  node.set("name", Json::string(d.name));
-  node.set("role", Json::string(to_string(d.role)));
-  node.set("count", Json::number(std::uint64_t{d.count}));
-  Json dram = Json::object();
-  dram.set("capacity_gib",
-           Json::number(static_cast<double>(d.dram.capacity_bytes) / kBytesPerGiB));
-  dram.set("bandwidth_gbyte", Json::number(d.dram.bus_bandwidth.gbyte_per_sec()));
-  dram.set("latency_ns", Json::number(sim::to_ns(d.dram.access_latency)));
-  node.set("dram", std::move(dram));
-  node.set("with_nic", Json::boolean(d.nic_enabled()));
-  Json nic = Json::object();
-  nic.set("window_entries", Json::number(std::uint64_t{d.nic.window_entries}));
-  nic.set("latency_reserved_entries",
-          Json::number(std::uint64_t{d.nic.latency_reserved_entries}));
-  nic.set("fpga_clock_mhz", Json::number(d.nic.fpga_clock_hz / 1e6));
-  nic.set("period", Json::number(d.nic.period));
-  nic.set("processing_ns", Json::number(sim::to_ns(d.nic.processing_latency)));
-  nic.set("retry_timeout_us",
-          Json::number(sim::to_us(d.nic.replay.retry_timeout)));
-  nic.set("retry_backoff", Json::number(d.nic.replay.backoff));
-  nic.set("max_retries", Json::number(std::uint64_t{d.nic.replay.max_retries}));
-  nic.set("detach_threshold",
-          Json::number(std::uint64_t{d.nic.replay.detach_threshold}));
-  node.set("nic", std::move(nic));
-  return node;
-}
-
-FaultSpec parse_faults(const Json& obj) {
-  check_keys(obj, "faults",
-             {"loss_rate", "corrupt_rate", "seed", "flaps", "kill_lender"});
-  FaultSpec f;
-  f.link.loss_rate = get_double(obj, "loss_rate", f.link.loss_rate);
-  f.link.corrupt_rate = get_double(obj, "corrupt_rate", f.link.corrupt_rate);
-  if (f.link.loss_rate < 0.0 || f.link.loss_rate > 1.0) {
-    throw JsonError("scenario: faults loss_rate must be in [0, 1]");
-  }
-  if (f.link.corrupt_rate < 0.0 || f.link.corrupt_rate > 1.0) {
-    throw JsonError("scenario: faults corrupt_rate must be in [0, 1]");
-  }
-  f.link.seed = get_uint(obj, "seed", f.link.seed);
-  if (const Json* flaps = obj.find("flaps")) {
-    for (const auto& fl : flaps->items()) {
-      check_keys(fl, "flap", {"at_us", "for_us", "factor"});
-      net::FlapSpec flap;
-      flap.start = sim::from_us(get_double(fl, "at_us", 0.0));
-      flap.duration = sim::from_us(get_double(fl, "for_us", 0.0));
-      flap.bandwidth_factor = get_double(fl, "factor", 0.0);
-      f.link.flaps.push_back(flap);
-    }
-    // Catch broken schedules (zero-duration, factor out of range, windows
-    // overlapping) at parse time, when the error can still name the file,
-    // instead of when the Nth sweep point constructs its FaultPlan.
+/// Codecs come in two shapes.  A scalar codec reads `read(json, member)` and
+/// throws a bare message ("expected a string") that is prefixed here with
+/// the value's path; a block codec takes the path and names its own errors.
+template <class C, class M>
+void read_value(const Json& value, const Path& at, M& member) {
+  if constexpr (requires { C::read(value, at, member); }) {
+    C::read(value, at, member);
+  } else {
     try {
-      net::validate_flap_schedule(f.link.flaps, "faults flaps");
+      C::read(value, member);
     } catch (const std::invalid_argument& e) {
-      throw JsonError("scenario: " + std::string(e.what()));
+      throw error_at(at, e.what());
+    } catch (const JsonError& e) {
+      std::string_view msg = e.what();
+      if (msg.rfind("json: ", 0) == 0) msg.remove_prefix(6);
+      throw error_at(at, std::string(msg));
     }
   }
-  if (const Json* kl = obj.find("kill_lender")) {
-    check_keys(*kl, "kill_lender", {"node", "at_us"});
-    f.kill_lender = get_string(*kl, "node", "");
-    if (f.kill_lender.empty()) {
-      throw JsonError("scenario: kill_lender requires a \"node\" name");
-    }
-    f.kill_at_us = get_double(*kl, "at_us", 0.0);
-  }
-  return f;
 }
 
-Json dump_faults(const FaultSpec& f) {
+template <class T, class... Rows>
+void read_block(const Json& obj, const Path& at, T& out,
+                const Table<T, Rows...>& table) {
+  if (!obj.is_object()) throw error_at(at, "expected an object");
+  for (const auto& [key, value] : obj.members()) {
+    const bool known = std::apply(
+        [&](const auto&... row) {
+          const auto read = [&](const auto& r) {
+            using R = std::remove_cvref_t<decltype(r)>;
+            read_value<typename R::Codec>(value, Path{&at, r.key},
+                                          R::of(out));
+            return true;
+          };
+          return ((row.key == key && read(row)) || ...);
+        },
+        table.rows);
+    if (!known) throw error_at(at, "unknown key \"" + key + "\"");
+  }
+  std::apply(
+      [&](const auto&... row) {
+        const auto require = [&](const auto& r) {
+          if (r.required && obj.find(std::string(r.key)) == nullptr) {
+            throw error_at(Path{&at, r.key}, "required key is missing");
+          }
+        };
+        (require(row), ...);
+      },
+      table.rows);
+  if (table.validate != nullptr) table.validate(out);
+}
+
+template <class T, class... Rows>
+Json write_block(const T& in, const Table<T, Rows...>& table) {
   Json obj = Json::object();
-  obj.set("loss_rate", Json::number(f.link.loss_rate));
-  obj.set("corrupt_rate", Json::number(f.link.corrupt_rate));
-  obj.set("seed", Json::number(f.link.seed));
-  Json flaps = Json::array();
-  for (const auto& flap : f.link.flaps) {
-    Json fl = Json::object();
-    fl.set("at_us", Json::number(sim::to_us(flap.start)));
-    fl.set("for_us", Json::number(sim::to_us(flap.duration)));
-    fl.set("factor", Json::number(flap.bandwidth_factor));
-    flaps.push(std::move(fl));
-  }
-  obj.set("flaps", std::move(flaps));
-  if (!f.kill_lender.empty()) {
-    Json kl = Json::object();
-    kl.set("node", Json::string(f.kill_lender));
-    kl.set("at_us", Json::number(f.kill_at_us));
-    obj.set("kill_lender", std::move(kl));
-  }
+  std::apply(
+      [&](const auto&... row) {
+        const auto write = [&](const auto& r) {
+          using R = std::remove_cvref_t<decltype(r)>;
+          Json v = R::Codec::write(R::of(in));
+          if (!v.is_null()) obj.set(std::string(r.key), std::move(v));
+        };
+        (write(row), ...);
+      },
+      table.rows);
   return obj;
 }
 
-ChaosSpec parse_chaos(const Json& obj) {
-  check_keys(obj, "chaos", {"seed", "events"});
-  ChaosSpec c;
-  c.seed = get_uint(obj, "seed", c.seed);
-  if (const Json* events = obj.find("events")) {
-    for (const auto& ev : events->items()) {
-      check_keys(ev, "chaos event",
-                 {"at_us", "kind", "target", "factor", "for_us"});
-      ChaosEventSpec spec;
-      spec.at_us = get_double(ev, "at_us", 0.0);
-      const std::string kind = get_string(ev, "kind", "");
-      try {
-        spec.kind = parse_chaos_kind(kind);
-      } catch (const std::invalid_argument& e) {
-        throw JsonError("scenario: " + std::string(e.what()));
-      }
-      spec.target = get_string(ev, "target", "");
-      spec.factor = get_double(ev, "factor", 0.0);
-      spec.for_us = get_double(ev, "for_us", 0.0);
-      c.events.push_back(std::move(spec));
+// --- codecs ------------------------------------------------------------------
+
+struct Str {
+  static void read(const Json& v, std::string& m) { m = v.as_string(); }
+  static Json write(const std::string& m) { return Json::string(m); }
+};
+
+struct Bool {
+  static void read(const Json& v, bool& m) { m = v.as_bool(); }
+  static Json write(bool m) { return Json::boolean(m); }
+};
+
+/// An unsigned integer that fits U.
+template <class U>
+struct Int {
+  static void read(const Json& v, U& m) {
+    const double x = v.is_number() ? v.as_double() : -1.0;
+    if (!(x >= 0.0) || x != std::floor(x)) {
+      throw JsonError("expected a non-negative integer");
+    }
+    constexpr double kLimit =
+        static_cast<double>(std::numeric_limits<U>::max()) + 1.0;
+    if (!(x < kLimit)) {
+      throw JsonError("expected an integer below " +
+                      Json::number(kLimit).dump());
+    }
+    m = static_cast<U>(x);
+  }
+  static Json write(U m) { return Json::number(static_cast<std::uint64_t>(m)); }
+};
+
+/// A finite real, held as the file's value times Scale (MHz -> Hz).  1e999
+/// parses to inf, which no dump could write back.
+template <double Scale>
+struct Real {
+  static void read(const Json& v, double& m) {
+    const double x = v.as_double() * Scale;
+    if (!std::isfinite(x)) throw JsonError("expected a finite number");
+    m = x;
+  }
+  static Json write(double m) { return Json::number(m / Scale); }
+};
+
+/// A 64-bit count of base units written in a larger unit: a sim::Time in
+/// ns or us, a byte count in KiB or GiB.
+template <std::uint64_t Unit>
+struct Fixed {
+  static void read(const Json& v, std::uint64_t& m) {
+    constexpr double kLimit =
+        18446744073709551616.0 / static_cast<double>(Unit);
+    const double x = v.as_double();
+    if (!(x >= 0.0 && x < kLimit)) {
+      throw JsonError("expected a number in [0, " +
+                      Json::number(kLimit).dump() + ")");
+    }
+    m = static_cast<std::uint64_t>(x * static_cast<double>(Unit));
+  }
+  static Json write(std::uint64_t m) {
+    return Json::number(static_cast<double>(m) / static_cast<double>(Unit));
+  }
+};
+
+/// A bandwidth in Gbit/s or GByte/s; serialization time divides by it.
+template <sim::Bandwidth (*From)(double), double (sim::Bandwidth::*To)() const>
+struct Rate {
+  static void read(const Json& v, sim::Bandwidth& m) {
+    const sim::Bandwidth b = From(v.as_double());
+    if (!((b.*To)() > 0.0 && std::isfinite((b.*To)()))) {
+      throw JsonError("expected a positive finite number");
+    }
+    m = b;
+  }
+  static Json write(const sim::Bandwidth& m) { return Json::number((m.*To)()); }
+};
+
+/// An enum by name: Parse reads it, to_string (found by ADL) writes it.
+template <auto Parse>
+struct Enum {
+  static void read(const Json& v, auto& m) { m = Parse(v.as_string()); }
+  static Json write(auto m) { return Json::string(to_string(m)); }
+};
+
+/// The injector distribution; "" leaves the PERIOD gate in charge.
+struct Distribution {
+  static void read(const Json& v, std::optional<net::DistKind>& m) {
+    const std::string& name = v.as_string();
+    m = name.empty() ? std::nullopt
+                     : std::optional(net::parse_dist_kind(name));
+  }
+  static Json write(const std::optional<net::DistKind>& m) {
+    return Json::string(m.has_value() ? net::to_string(*m) : "");
+  }
+};
+
+/// with_nic may be left to the role in a file but is always explicit in the
+/// resolved dump, so it binds the whole node.
+struct WithNic {
+  static void read(const Json& v, NodeDecl& m) { m.with_nic = v.as_bool(); }
+  static Json write(const NodeDecl& m) {
+    return Json::boolean(m.nic_enabled());
+  }
+};
+
+/// A nested block, read and written by its own table.
+template <const auto& Tab>
+struct Object {
+  static void read(const Json& v, const Path& at, auto& m) {
+    read_block(v, at, m, Tab);
+  }
+  static Json write(const auto& m) { return write_block(m, Tab); }
+};
+
+/// kill_lender is a sub-object over two FaultSpec members, dumped only when
+/// a lender is named.
+template <const auto& Tab>
+struct KillLender : Object<Tab> {
+  static Json write(const FaultSpec& m) {
+    return m.kill_lender.empty() ? Json() : write_block(m, Tab);
+  }
+};
+
+template <class C>
+struct List {
+  template <class E>
+  static void read(const Json& v, const Path& at, std::vector<E>& m) {
+    if (!v.is_array()) throw error_at(at, "expected an array");
+    m.assign(v.items().size(), E{});
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      read_value<C>(v.items()[i], Path{&at, {}, i}, m[i]);
     }
   }
+  template <class E>
+  static Json write(const std::vector<E>& m) {
+    Json arr = Json::array();
+    for (const E& e : m) arr.push(C::write(e));
+    return arr;
+  }
+};
+
+using U32 = Int<std::uint32_t>;
+using U64 = Int<std::uint64_t>;
+using Num = Real<1.0>;
+using MHz = Real<1e6>;
+using Ns = Fixed<sim::kNanosecond>;
+using Us = Fixed<sim::kMicrosecond>;
+using KiB = Fixed<sim::kKiB>;
+using GiB = Fixed<sim::kGiB>;
+using Gbit = Rate<&sim::Bandwidth::from_gbit, &sim::Bandwidth::gbit_per_sec>;
+using GByte = Rate<&sim::Bandwidth::from_gbyte, &sim::Bandwidth::gbyte_per_sec>;
+
+[[noreturn]] void bad_event(std::size_t i, const std::string& what) {
+  throw std::invalid_argument("chaos event " + std::to_string(i) + what);
+}
+
+// --- validators: range checks across a block's fields ----------------------
+//
+// Reals reaching a validator are finite (Real rejects the rest), so each
+// negated condition below is exact.
+
+void require(bool ok, const char* msg) {
+  if (!ok) throw JsonError(std::string("scenario: ") + msg);
+}
+
+/// Rethrow a std::invalid_argument from a shared validator as a JsonError.
+template <class F>
+void require_valid(F&& check) {
+  try {
+    check();
+  } catch (const std::invalid_argument& e) {
+    throw JsonError(std::string("scenario: ") + e.what());
+  }
+}
+
+void check_node(NodeDecl& d) {
+  require(d.count != 0, "node count must be >= 1");
+}
+
+void check_topology(TopologySpec& t) {
+  require(t.leaves != 0 && t.spines != 0,
+          "topology leaves and spines must each be >= 1");
+}
+
+void check_reservation(ReservationSpec& r) {
+  require(r.chunks != 0, "reservation chunks must be >= 1");
+}
+
+void check_faults(FaultSpec& f) {
+  require(f.link.loss_rate >= 0.0 && f.link.loss_rate <= 1.0,
+          "faults loss_rate must be in [0, 1]");
+  require(f.link.corrupt_rate >= 0.0 && f.link.corrupt_rate <= 1.0,
+          "faults corrupt_rate must be in [0, 1]");
+  // Catch broken schedules (zero-duration, factor out of range, windows
+  // overlapping) at parse time, when the error can still name the file,
+  // instead of when the Nth sweep point constructs its FaultPlan.
+  require_valid(
+      [&] { net::validate_flap_schedule(f.link.flaps, "faults flaps"); });
+}
+
+void check_kill_lender(FaultSpec& f) {
+  require(!f.kill_lender.empty(), "kill_lender requires a \"node\" name");
+}
+
+void check_chaos(ChaosSpec& c) {
   // Resolve once now and discard: a malformed timeline (unmatched recover,
   // overlapping windows, bad factors) fails at parse time with the event
   // index, not deep inside cluster assembly.
-  try {
-    resolve_chaos(c);
-  } catch (const std::invalid_argument& e) {
-    throw JsonError("scenario: " + std::string(e.what()));
-  }
-  return c;
+  require_valid([&] { resolve_chaos(c); });
 }
 
-Json dump_chaos(const ChaosSpec& c) {
-  Json obj = Json::object();
-  obj.set("seed", Json::number(c.seed));
-  Json events = Json::array();
-  for (const auto& spec : c.events) {
-    Json ev = Json::object();
-    ev.set("at_us", Json::number(spec.at_us));
-    ev.set("kind", Json::string(to_string(spec.kind)));
-    ev.set("target", Json::string(spec.target));
-    ev.set("factor", Json::number(spec.factor));
-    ev.set("for_us", Json::number(spec.for_us));
-    events.push(std::move(ev));
-  }
-  obj.set("events", std::move(events));
-  return obj;
+void check_detector(DetectorSpec& d) {
+  require(d.alpha > 0.0 && d.alpha <= 1.0,
+          "detector alpha must be in (0, 1]");
+  require(d.latency_threshold > 1.0,
+          "detector latency_threshold must be > 1");
+  require(d.timeout_weight >= 0.0, "detector timeout_weight must be >= 0");
+  require(d.warmup != 0 && d.confirm != 0,
+          "detector warmup and confirm must be >= 1");
+  require(d.probe_interval != 0 && d.rejoin_confirm != 0,
+          "detector probe_interval and rejoin_confirm must be >= 1");
+  require(d.rejoin_margin >= 1.0, "detector rejoin_margin must be >= 1");
 }
 
-DetectorSpec parse_detector(const Json& obj) {
-  check_keys(obj, "detector",
-             {"enabled", "alpha", "latency_threshold", "timeout_weight",
-              "warmup", "confirm", "probe_interval", "rejoin_margin",
-              "rejoin_confirm"});
-  DetectorSpec d;
-  if (const Json* e = obj.find("enabled")) d.enabled = e->as_bool();
-  d.alpha = get_double(obj, "alpha", d.alpha);
-  d.latency_threshold =
-      get_double(obj, "latency_threshold", d.latency_threshold);
-  d.timeout_weight = get_double(obj, "timeout_weight", d.timeout_weight);
-  d.warmup = static_cast<std::uint32_t>(get_uint(obj, "warmup", d.warmup));
-  d.confirm = static_cast<std::uint32_t>(get_uint(obj, "confirm", d.confirm));
-  d.probe_interval = static_cast<std::uint32_t>(
-      get_uint(obj, "probe_interval", d.probe_interval));
-  d.rejoin_margin = get_double(obj, "rejoin_margin", d.rejoin_margin);
-  d.rejoin_confirm = static_cast<std::uint32_t>(
-      get_uint(obj, "rejoin_confirm", d.rejoin_confirm));
-  if (d.alpha <= 0.0 || d.alpha > 1.0) {
-    throw JsonError("scenario: detector alpha must be in (0, 1]");
-  }
-  if (d.latency_threshold <= 1.0) {
-    throw JsonError("scenario: detector latency_threshold must be > 1");
-  }
-  if (d.timeout_weight < 0.0) {
-    throw JsonError("scenario: detector timeout_weight must be >= 0");
-  }
-  if (d.warmup == 0 || d.confirm == 0) {
-    throw JsonError("scenario: detector warmup and confirm must be >= 1");
-  }
-  if (d.probe_interval == 0 || d.rejoin_confirm == 0) {
-    throw JsonError(
-        "scenario: detector probe_interval and rejoin_confirm must be >= 1");
-  }
-  if (d.rejoin_margin < 1.0) {
-    throw JsonError("scenario: detector rejoin_margin must be >= 1");
-  }
-  return d;
-}
-
-Json dump_detector(const DetectorSpec& d) {
-  Json obj = Json::object();
-  obj.set("enabled", Json::boolean(d.enabled));
-  obj.set("alpha", Json::number(d.alpha));
-  obj.set("latency_threshold", Json::number(d.latency_threshold));
-  obj.set("timeout_weight", Json::number(d.timeout_weight));
-  obj.set("warmup", Json::number(std::uint64_t{d.warmup}));
-  obj.set("confirm", Json::number(std::uint64_t{d.confirm}));
-  obj.set("probe_interval", Json::number(std::uint64_t{d.probe_interval}));
-  obj.set("rejoin_margin", Json::number(d.rejoin_margin));
-  obj.set("rejoin_confirm", Json::number(std::uint64_t{d.rejoin_confirm}));
-  return obj;
-}
-
-TrafficSpec parse_traffic(const Json& obj) {
-  check_keys(obj, "traffic",
-             {"process", "rate_rps", "clients", "seed", "max_in_flight",
-              "queue_depth", "duration_us", "timeout_us", "req_bytes",
-              "resp_bytes", "burst_on_us", "burst_off_us",
-              "diurnal_period_us", "diurnal_amplitude", "lender_capacity_rps",
-              "qos_window_us", "tenant_gib", "failover_threshold", "tenants"});
-  TrafficSpec t;
-  t.process = get_string(obj, "process", "");
+void check_traffic(TrafficSpec& t) {
   if (!t.process.empty() && t.process != "poisson" && t.process != "bursty" &&
       t.process != "diurnal") {
     throw JsonError("scenario: unknown traffic process \"" + t.process + "\"");
   }
-  t.rate_rps = get_double(obj, "rate_rps", t.rate_rps);
-  t.clients = get_uint(obj, "clients", t.clients);
-  t.seed = get_uint(obj, "seed", t.seed);
-  t.max_in_flight =
-      static_cast<std::uint32_t>(get_uint(obj, "max_in_flight", t.max_in_flight));
-  t.queue_depth =
-      static_cast<std::uint32_t>(get_uint(obj, "queue_depth", t.queue_depth));
-  t.duration_us = get_double(obj, "duration_us", t.duration_us);
-  t.timeout_us = get_double(obj, "timeout_us", t.timeout_us);
-  t.req_bytes = get_uint(obj, "req_bytes", t.req_bytes);
-  t.resp_bytes = get_uint(obj, "resp_bytes", t.resp_bytes);
-  t.burst_on_us = get_double(obj, "burst_on_us", t.burst_on_us);
-  t.burst_off_us = get_double(obj, "burst_off_us", t.burst_off_us);
-  t.diurnal_period_us =
-      get_double(obj, "diurnal_period_us", t.diurnal_period_us);
-  t.diurnal_amplitude =
-      get_double(obj, "diurnal_amplitude", t.diurnal_amplitude);
-  t.lender_capacity_rps =
-      get_double(obj, "lender_capacity_rps", t.lender_capacity_rps);
-  t.qos_window_us = get_double(obj, "qos_window_us", t.qos_window_us);
-  t.tenant_gib = get_double(obj, "tenant_gib", t.tenant_gib);
-  t.failover_threshold = static_cast<std::uint32_t>(
-      get_uint(obj, "failover_threshold", t.failover_threshold));
-  if (t.enabled()) {
-    if (t.rate_rps <= 0.0) {
-      throw JsonError("scenario: traffic rate_rps must be > 0");
-    }
-    if (t.duration_us <= 0.0) {
-      throw JsonError("scenario: traffic duration_us must be > 0");
-    }
-    if (t.max_in_flight == 0) {
-      throw JsonError("scenario: traffic max_in_flight must be >= 1");
-    }
-    if (t.diurnal_amplitude < 0.0 || t.diurnal_amplitude > 1.0) {
-      throw JsonError("scenario: traffic diurnal_amplitude must be in [0,1]");
-    }
-  }
-  if (const Json* tenants = obj.find("tenants")) {
-    for (const auto& te : tenants->items()) {
-      check_keys(te, "tenant", {"name", "weight", "rate_share"});
-      TrafficTenantSpec spec;
-      spec.name = get_string(te, "name", spec.name);
-      spec.weight =
-          static_cast<std::uint32_t>(get_uint(te, "weight", spec.weight));
-      if (spec.weight == 0) {
-        throw JsonError("scenario: tenant weight must be >= 1");
-      }
-      spec.rate_share = get_double(te, "rate_share", spec.rate_share);
-      if (spec.rate_share <= 0.0) {
-        throw JsonError("scenario: tenant rate_share must be > 0");
-      }
-      t.tenants.push_back(std::move(spec));
-    }
-  }
-  return t;
+  if (!t.enabled()) return;
+  require(t.rate_rps > 0.0, "traffic rate_rps must be > 0");
+  require(t.duration_us > 0.0, "traffic duration_us must be > 0");
+  require(t.max_in_flight != 0, "traffic max_in_flight must be >= 1");
+  require(t.diurnal_amplitude >= 0.0 && t.diurnal_amplitude <= 1.0,
+          "traffic diurnal_amplitude must be in [0,1]");
 }
 
-Json dump_traffic(const TrafficSpec& t) {
-  Json obj = Json::object();
-  obj.set("process", Json::string(t.process));
-  obj.set("rate_rps", Json::number(t.rate_rps));
-  obj.set("clients", Json::number(t.clients));
-  obj.set("seed", Json::number(t.seed));
-  obj.set("max_in_flight", Json::number(std::uint64_t{t.max_in_flight}));
-  obj.set("queue_depth", Json::number(std::uint64_t{t.queue_depth}));
-  obj.set("duration_us", Json::number(t.duration_us));
-  obj.set("timeout_us", Json::number(t.timeout_us));
-  obj.set("req_bytes", Json::number(t.req_bytes));
-  obj.set("resp_bytes", Json::number(t.resp_bytes));
-  obj.set("burst_on_us", Json::number(t.burst_on_us));
-  obj.set("burst_off_us", Json::number(t.burst_off_us));
-  obj.set("diurnal_period_us", Json::number(t.diurnal_period_us));
-  obj.set("diurnal_amplitude", Json::number(t.diurnal_amplitude));
-  obj.set("lender_capacity_rps", Json::number(t.lender_capacity_rps));
-  obj.set("qos_window_us", Json::number(t.qos_window_us));
-  obj.set("tenant_gib", Json::number(t.tenant_gib));
-  obj.set("failover_threshold",
-          Json::number(std::uint64_t{t.failover_threshold}));
-  Json tenants = Json::array();
-  for (const auto& te : t.tenants) {
-    Json tn = Json::object();
-    tn.set("name", Json::string(te.name));
-    tn.set("weight", Json::number(std::uint64_t{te.weight}));
-    tn.set("rate_share", Json::number(te.rate_share));
-    tenants.push(std::move(tn));
-  }
-  obj.set("tenants", std::move(tenants));
-  return obj;
+void check_tenant(TrafficTenantSpec& t) {
+  require(t.weight != 0, "tenant weight must be >= 1");
+  require(t.rate_share > 0.0, "tenant rate_share must be > 0");
 }
 
-SloSpec parse_slo(const Json& obj) {
-  check_keys(obj, "slo", {"p50_us", "p99_us", "p999_us", "window_us"});
-  SloSpec s;
-  s.p50_us = get_double(obj, "p50_us", s.p50_us);
-  s.p99_us = get_double(obj, "p99_us", s.p99_us);
-  s.p999_us = get_double(obj, "p999_us", s.p999_us);
-  s.window_us = get_double(obj, "window_us", s.window_us);
-  if (s.p50_us < 0.0 || s.p99_us < 0.0 || s.p999_us < 0.0) {
-    throw JsonError("scenario: slo targets must be >= 0");
-  }
-  if (s.window_us <= 0.0) {
-    throw JsonError("scenario: slo window_us must be > 0");
-  }
-  return s;
+void check_slo(SloSpec& s) {
+  require(s.p50_us >= 0.0 && s.p99_us >= 0.0 && s.p999_us >= 0.0,
+          "slo targets must be >= 0");
+  require(s.window_us > 0.0, "slo window_us must be > 0");
 }
 
-Json dump_slo(const SloSpec& s) {
-  Json obj = Json::object();
-  obj.set("p50_us", Json::number(s.p50_us));
-  obj.set("p99_us", Json::number(s.p99_us));
-  obj.set("p999_us", Json::number(s.p999_us));
-  obj.set("window_us", Json::number(s.window_us));
-  return obj;
+void check_pdes(PdesSpec& p) {
+  require(p.lookahead_ns >= 0.0, "pdes lookahead_ns must be >= 0");
 }
 
-Json dump_link(const net::LinkConfig& cfg) {
-  Json link = Json::object();
-  link.set("bandwidth_gbit", Json::number(cfg.bandwidth.gbit_per_sec()));
-  link.set("propagation_ns", Json::number(sim::to_ns(cfg.propagation)));
-  return link;
+void check_scenario(ScenarioSpec& s) {
+  require(!s.nodes.empty(), "\"nodes\" array is required and non-empty");
 }
 
-template <typename T>
-std::vector<T> parse_uint_array(const Json& arr) {
-  std::vector<T> out;
-  for (const auto& v : arr.items()) out.push_back(static_cast<T>(v.as_uint()));
-  return out;
-}
+// --- the schema: one table per block, rows in resolved-dump order -----------
 
-template <typename T>
-Json dump_uint_array(const std::vector<T>& xs) {
-  Json arr = Json::array();
-  for (const T x : xs) arr.push(Json::number(std::uint64_t{x}));
-  return arr;
-}
+constexpr auto kDram = table<mem::DramConfig>(
+    nullptr,
+    Row<GiB, &mem::DramConfig::capacity_bytes>{"capacity_gib"},
+    Row<GByte, &mem::DramConfig::bus_bandwidth>{"bandwidth_gbyte"},
+    Row<Ns, &mem::DramConfig::access_latency>{"latency_ns"});
+
+constexpr auto kNic = table<nic::NicConfig>(
+    nullptr,
+    Row<U32, &nic::NicConfig::window_entries>{"window_entries"},
+    Row<U32, &nic::NicConfig::latency_reserved_entries>{
+        "latency_reserved_entries"},
+    Row<MHz, &nic::NicConfig::fpga_clock_hz>{"fpga_clock_mhz"},
+    Row<U64, &nic::NicConfig::period>{"period"},
+    Row<Ns, &nic::NicConfig::processing_latency>{"processing_ns"},
+    Row<Us, &nic::NicConfig::replay, &nic::ReplayConfig::retry_timeout>{
+        "retry_timeout_us"},
+    Row<Num, &nic::NicConfig::replay, &nic::ReplayConfig::backoff>{
+        "retry_backoff"},
+    Row<U32, &nic::NicConfig::replay, &nic::ReplayConfig::max_retries>{
+        "max_retries"},
+    Row<U32, &nic::NicConfig::replay, &nic::ReplayConfig::detach_threshold>{
+        "detach_threshold"});
+
+constexpr auto kNode = table<NodeDecl>(
+    check_node,
+    Row<Str, &NodeDecl::name>{"name"},
+    Row<Enum<&parse_role>, &NodeDecl::role>{"role"},
+    Row<U32, &NodeDecl::count>{"count"},
+    Row<Object<kDram>, &NodeDecl::dram>{"dram"},
+    Row<WithNic>{"with_nic"},
+    Row<Object<kNic>, &NodeDecl::nic>{"nic"});
+
+constexpr auto kLink = table<net::LinkConfig>(
+    nullptr,
+    Row<Gbit, &net::LinkConfig::bandwidth>{"bandwidth_gbit"},
+    Row<Ns, &net::LinkConfig::propagation>{"propagation_ns"});
+
+constexpr auto kSwitch = table<net::SwitchConfig>(
+    nullptr,
+    Row<KiB, &net::SwitchConfig::buffer_bytes>{"buffer_kib"},
+    Row<Enum<&net::parse_queue_policy>, &net::SwitchConfig::policy>{"policy"});
+
+constexpr auto kTopology = table<TopologySpec>(
+    check_topology,
+    Row<Enum<&parse_topology_kind>, &TopologySpec::kind>{"kind"},
+    Row<Object<kLink>, &TopologySpec::link>{"link"},
+    Row<Object<kLink>, &TopologySpec::trunk>{"trunk"},
+    Row<Object<kLink>, &TopologySpec::uplink>{"uplink"},
+    Row<U32, &TopologySpec::leaves>{"leaves"},
+    Row<U32, &TopologySpec::spines>{"spines"},
+    Row<Object<kSwitch>, &TopologySpec::sw>{"switch"});
+
+constexpr auto kInjector = table<InjectorSpec>(
+    nullptr,
+    Row<U64, &InjectorSpec::period>{"period"},
+    Row<Distribution, &InjectorSpec::dist_kind>{"distribution"},
+    Row<Num, &InjectorSpec::dist_mean_us>{"mean_us"},
+    Row<U64, &InjectorSpec::dist_seed>{"seed"});
+
+constexpr auto kReservation = table<ReservationSpec>(
+    check_reservation,
+    Row<Str, &ReservationSpec::borrower>{"borrower"},
+    Row<U64, &ReservationSpec::size_gib>{"size_gib"},
+    Row<U32, &ReservationSpec::chunks>{"chunks"},
+    Row<Str, &ReservationSpec::name>{"name"});
+
+constexpr auto kWorkload = table<WorkloadSpec>(
+    nullptr,
+    Row<Str, &WorkloadSpec::kind>{"kind"},
+    Row<Str, &WorkloadSpec::placement>{"placement"});
+
+constexpr auto kFlap = table<net::FlapSpec>(
+    nullptr,
+    Row<Us, &net::FlapSpec::start>{"at_us"},
+    Row<Us, &net::FlapSpec::duration>{"for_us"},
+    Row<Num, &net::FlapSpec::bandwidth_factor>{"factor"});
+
+constexpr auto kKillLender = table<FaultSpec>(
+    check_kill_lender,
+    Row<Str, &FaultSpec::kill_lender>{"node"},
+    Row<Num, &FaultSpec::kill_at_us>{"at_us"});
+
+constexpr auto kFaults = table<FaultSpec>(
+    check_faults,
+    Row<Num, &FaultSpec::link, &net::FaultConfig::loss_rate>{"loss_rate"},
+    Row<Num, &FaultSpec::link, &net::FaultConfig::corrupt_rate>{
+        "corrupt_rate"},
+    Row<U64, &FaultSpec::link, &net::FaultConfig::seed>{"seed"},
+    Row<List<Object<kFlap>>, &FaultSpec::link, &net::FaultConfig::flaps>{
+        "flaps"},
+    Row<KillLender<kKillLender>>{"kill_lender"});
+
+constexpr auto kChaosEvent = table<ChaosEventSpec>(
+    nullptr,
+    Row<Num, &ChaosEventSpec::at_us>{"at_us"},
+    Row<Enum<&parse_chaos_kind>, &ChaosEventSpec::kind>{"kind", true},
+    Row<Str, &ChaosEventSpec::target>{"target"},
+    Row<Num, &ChaosEventSpec::factor>{"factor"},
+    Row<Num, &ChaosEventSpec::for_us>{"for_us"});
+
+constexpr auto kChaos = table<ChaosSpec>(
+    check_chaos,
+    Row<U64, &ChaosSpec::seed>{"seed"},
+    Row<List<Object<kChaosEvent>>, &ChaosSpec::events>{"events"});
+
+constexpr auto kDetector = table<DetectorSpec>(
+    check_detector,
+    Row<Bool, &DetectorSpec::enabled>{"enabled"},
+    Row<Num, &DetectorSpec::alpha>{"alpha"},
+    Row<Num, &DetectorSpec::latency_threshold>{"latency_threshold"},
+    Row<Num, &DetectorSpec::timeout_weight>{"timeout_weight"},
+    Row<U32, &DetectorSpec::warmup>{"warmup"},
+    Row<U32, &DetectorSpec::confirm>{"confirm"},
+    Row<U32, &DetectorSpec::probe_interval>{"probe_interval"},
+    Row<Num, &DetectorSpec::rejoin_margin>{"rejoin_margin"},
+    Row<U32, &DetectorSpec::rejoin_confirm>{"rejoin_confirm"});
+
+constexpr auto kTenant = table<TrafficTenantSpec>(
+    check_tenant,
+    Row<Str, &TrafficTenantSpec::name>{"name"},
+    Row<U32, &TrafficTenantSpec::weight>{"weight"},
+    Row<Num, &TrafficTenantSpec::rate_share>{"rate_share"});
+
+constexpr auto kTraffic = table<TrafficSpec>(
+    check_traffic,
+    Row<Str, &TrafficSpec::process>{"process"},
+    Row<Num, &TrafficSpec::rate_rps>{"rate_rps"},
+    Row<U64, &TrafficSpec::clients>{"clients"},
+    Row<U64, &TrafficSpec::seed>{"seed"},
+    Row<U32, &TrafficSpec::max_in_flight>{"max_in_flight"},
+    Row<U32, &TrafficSpec::queue_depth>{"queue_depth"},
+    Row<Num, &TrafficSpec::duration_us>{"duration_us"},
+    Row<Num, &TrafficSpec::timeout_us>{"timeout_us"},
+    Row<U64, &TrafficSpec::req_bytes>{"req_bytes"},
+    Row<U64, &TrafficSpec::resp_bytes>{"resp_bytes"},
+    Row<Num, &TrafficSpec::burst_on_us>{"burst_on_us"},
+    Row<Num, &TrafficSpec::burst_off_us>{"burst_off_us"},
+    Row<Num, &TrafficSpec::diurnal_period_us>{"diurnal_period_us"},
+    Row<Num, &TrafficSpec::diurnal_amplitude>{"diurnal_amplitude"},
+    Row<Num, &TrafficSpec::lender_capacity_rps>{"lender_capacity_rps"},
+    Row<Num, &TrafficSpec::qos_window_us>{"qos_window_us"},
+    Row<Num, &TrafficSpec::tenant_gib>{"tenant_gib"},
+    Row<U32, &TrafficSpec::failover_threshold>{"failover_threshold"},
+    Row<List<Object<kTenant>>, &TrafficSpec::tenants>{"tenants"});
+
+constexpr auto kSlo = table<SloSpec>(
+    check_slo,
+    Row<Num, &SloSpec::p50_us>{"p50_us"},
+    Row<Num, &SloSpec::p99_us>{"p99_us"},
+    Row<Num, &SloSpec::p999_us>{"p999_us"},
+    Row<Num, &SloSpec::window_us>{"window_us"});
+
+constexpr auto kPdes = table<PdesSpec>(
+    check_pdes,
+    Row<U32, &PdesSpec::threads>{"threads"},
+    Row<Num, &PdesSpec::lookahead_ns>{"lookahead_ns"});
+
+constexpr auto kSweep = table<SweepSpec>(
+    nullptr,
+    Row<List<U64>, &SweepSpec::periods>{"periods"},
+    Row<List<U32>, &SweepSpec::lenders>{"lenders"},
+    Row<List<U32>, &SweepSpec::borrowers>{"borrowers"},
+    Row<List<U32>, &SweepSpec::instances>{"instances"});
+
+constexpr auto kScenario = table<ScenarioSpec>(
+    check_scenario,
+    Row<Str, &ScenarioSpec::name>{"name"},
+    Row<Str, &ScenarioSpec::description>{"description"},
+    Row<Str, &ScenarioSpec::policy>{"policy"},
+    Row<List<Object<kNode>>, &ScenarioSpec::nodes>{"nodes"},
+    Row<Object<kTopology>, &ScenarioSpec::topology>{"topology"},
+    Row<Object<kInjector>, &ScenarioSpec::injector>{"injector"},
+    Row<List<Object<kReservation>>, &ScenarioSpec::reservations>{
+        "reservations"},
+    Row<List<Object<kWorkload>>, &ScenarioSpec::workloads>{"workloads"},
+    Row<Object<kFaults>, &ScenarioSpec::faults>{"faults"},
+    Row<Object<kChaos>, &ScenarioSpec::chaos>{"chaos"},
+    Row<Object<kDetector>, &ScenarioSpec::detector>{"detector"},
+    Row<Object<kTraffic>, &ScenarioSpec::traffic>{"traffic"},
+    Row<Object<kSlo>, &ScenarioSpec::slo>{"slo"},
+    Row<Object<kPdes>, &ScenarioSpec::pdes>{"pdes"},
+    Row<Object<kSweep>, &ScenarioSpec::sweep>{"sweep"});
 
 }  // namespace
 
-std::string to_string(Role role) {
-  return role == Role::kBorrower ? "borrower" : "lender";
-}
+std::string to_string(Role role) { return name_of(kRoleNames, role); }
 
 Role parse_role(const std::string& name) {
-  if (name == "borrower") return Role::kBorrower;
-  if (name == "lender") return Role::kLender;
-  throw JsonError("scenario: unknown role \"" + name + "\"");
+  return parse_named(kRoleNames, name, "role");
 }
 
 std::string to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kDirect: return "direct";
-    case TopologyKind::kDumbbell: return "dumbbell";
-    case TopologyKind::kLeafSpine: return "leaf_spine";
-  }
-  return "?";
+  return name_of(kTopologyNames, kind);
 }
 
 TopologyKind parse_topology_kind(const std::string& name) {
-  if (name == "direct") return TopologyKind::kDirect;
-  if (name == "dumbbell") return TopologyKind::kDumbbell;
-  if (name == "leaf_spine") return TopologyKind::kLeafSpine;
-  throw JsonError("scenario: unknown topology kind \"" + name + "\"");
+  return parse_named(kTopologyNames, name, "topology kind");
 }
 
-std::string to_string(ChaosKind kind) {
-  switch (kind) {
-    case ChaosKind::kKillSwitch: return "kill_switch";
-    case ChaosKind::kBrownoutPort: return "brownout_port";
-    case ChaosKind::kGrayLender: return "gray_lender";
-    case ChaosKind::kRecover: return "recover";
-  }
-  return "?";
-}
+std::string to_string(ChaosKind kind) { return name_of(kChaosNames, kind); }
 
 ChaosKind parse_chaos_kind(const std::string& name) {
-  if (name == "kill_switch") return ChaosKind::kKillSwitch;
-  if (name == "brownout_port") return ChaosKind::kBrownoutPort;
-  if (name == "gray_lender") return ChaosKind::kGrayLender;
-  if (name == "recover") return ChaosKind::kRecover;
-  throw std::invalid_argument("unknown chaos event kind \"" + name +
-                              "\" (expected kill_switch, brownout_port, "
-                              "gray_lender or recover)");
+  return parse_named(kChaosNames, name, "chaos event kind");
 }
 
 std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos) {
   std::vector<ChaosWindow> windows;
   std::map<std::string, std::size_t> open;     // target -> open window index
   std::map<std::string, sim::Time> last_end;   // target -> last bounded end
-  const auto at_event = [](std::size_t i) {
-    return "chaos event " + std::to_string(i);
-  };
   for (std::size_t i = 0; i < chaos.events.size(); ++i) {
     const ChaosEventSpec& ev = chaos.events[i];
-    if (ev.at_us < 0.0) {
-      throw std::invalid_argument(at_event(i) + ": at_us must be >= 0");
+    if (ev.at_us < 0.0) bad_event(i, ": at_us must be >= 0");
+    // Past 2^64 ps the conversion to sim::Time is undefined.
+    if (ev.at_us + ev.for_us >= 18446744073709551616.0 / 1e6) {
+      bad_event(i, ": at_us + for_us must be below 2^64 ps");
     }
     if (i > 0 && ev.at_us < chaos.events[i - 1].at_us) {
       throw std::invalid_argument(
           "chaos events " + std::to_string(i - 1) + " and " +
           std::to_string(i) + " out of order (at_us must be non-decreasing)");
     }
-    if (ev.target.empty()) {
-      throw std::invalid_argument(at_event(i) + ": target is required");
-    }
+    if (ev.target.empty()) bad_event(i, ": target is required");
     const sim::Time at = sim::from_us(ev.at_us);
     if (ev.kind == ChaosKind::kRecover) {
       if (ev.factor != 0.0 || ev.for_us != 0.0) {
-        throw std::invalid_argument(
-            at_event(i) + ": recover takes no factor or for_us");
+        bad_event(i, ": recover takes no factor or for_us");
       }
       const auto it = open.find(ev.target);
       if (it == open.end()) {
-        throw std::invalid_argument(at_event(i) + ": recover for \"" +
-                                    ev.target +
-                                    "\" matches no open chaos window");
+        bad_event(i, ": recover for \"" + ev.target +
+                         "\" matches no open chaos window");
       }
       ChaosWindow& w = windows[it->second];
       if (at <= w.start) {
-        throw std::invalid_argument(
-            at_event(i) + ": recover must come strictly after the \"" +
-            ev.target + "\" window opened");
+        bad_event(i, ": recover must come strictly after the \"" +
+                         ev.target + "\" window opened");
       }
       w.end = at;
       last_end[ev.target] = at;
       open.erase(it);
       continue;
     }
-    switch (ev.kind) {
-      case ChaosKind::kKillSwitch:
-        if (ev.factor != 0.0) {
-          throw std::invalid_argument(at_event(i) +
-                                      ": kill_switch takes no factor");
-        }
-        break;
-      case ChaosKind::kBrownoutPort:
-        if (ev.factor < 0.0 || ev.factor >= 1.0) {
-          throw std::invalid_argument(
-              at_event(i) + ": brownout_port factor must be in [0, 1)");
-        }
-        if (ev.target.find(':') == std::string::npos) {
-          throw std::invalid_argument(
-              at_event(i) +
-              ": brownout_port target must be \"switch:neighbor\"");
-        }
-        break;
-      case ChaosKind::kGrayLender:
-        if (ev.factor <= 1.0) {
-          throw std::invalid_argument(
-              at_event(i) + ": gray_lender factor must be > 1 (it inflates "
-                            "service latency)");
-        }
-        break;
-      case ChaosKind::kRecover: break;  // handled above
+    if (ev.kind == ChaosKind::kKillSwitch && ev.factor != 0.0) {
+      bad_event(i, ": kill_switch takes no factor");
     }
-    if (ev.for_us < 0.0) {
-      throw std::invalid_argument(at_event(i) + ": for_us must be >= 0");
+    if (ev.kind == ChaosKind::kBrownoutPort) {
+      if (ev.factor < 0.0 || ev.factor >= 1.0) {
+        bad_event(i, ": brownout_port factor must be in [0, 1)");
+      }
+      if (ev.target.find(':') == std::string::npos) {
+        bad_event(i, ": brownout_port target must be \"switch:neighbor\"");
+      }
     }
+    if (ev.kind == ChaosKind::kGrayLender && ev.factor <= 1.0) {
+      bad_event(i, ": gray_lender factor must be > 1 (it inflates service "
+                   "latency)");
+    }
+    if (ev.for_us < 0.0) bad_event(i, ": for_us must be >= 0");
     if (open.count(ev.target) != 0) {
-      throw std::invalid_argument(
-          at_event(i) + ": target \"" + ev.target +
-          "\" already has an open chaos window (recover it first)");
+      bad_event(i, ": target \"" + ev.target + "\" already has an open "
+                   "chaos window (recover it first)");
     }
     if (const auto le = last_end.find(ev.target);
         le != last_end.end() && at < le->second) {
-      throw std::invalid_argument(at_event(i) +
-                                  " overlaps the previous window on \"" +
-                                  ev.target + "\"");
+      bad_event(i, " overlaps the previous window on \"" + ev.target + "\"");
     }
-    ChaosWindow w;
-    w.kind = ev.kind;
-    w.target = ev.target;
-    w.start = at;
-    w.end = sim::kTimeNever;
-    w.factor = ev.factor;
+    ChaosWindow w{ev.kind, ev.target, at, sim::kTimeNever, ev.factor};
     if (ev.for_us > 0.0) {
       w.end = at + sim::from_us(ev.for_us);
       last_end[ev.target] = w.end;
@@ -647,116 +743,8 @@ void ScenarioSpec::set_borrower_count(std::uint32_t count) {
 }
 
 ScenarioSpec from_json(const Json& doc) {
-  check_keys(doc, "scenario",
-             {"name", "description", "nodes", "topology", "injector", "policy",
-              "reservations", "workloads", "faults", "chaos", "detector",
-              "traffic", "slo", "pdes", "sweep"});
   ScenarioSpec spec;
-  spec.name = get_string(doc, "name", spec.name);
-  spec.description = get_string(doc, "description", "");
-  spec.policy = get_string(doc, "policy", spec.policy);
-
-  const Json* nodes = doc.find("nodes");
-  if (nodes == nullptr || nodes->items().empty()) {
-    throw JsonError("scenario: \"nodes\" array is required and non-empty");
-  }
-  for (const auto& n : nodes->items()) spec.nodes.push_back(parse_node(n));
-
-  if (const Json* topo = doc.find("topology")) {
-    check_keys(*topo, "topology",
-               {"kind", "link", "trunk", "uplink", "leaves", "spines",
-                "switch"});
-    spec.topology.kind =
-        parse_topology_kind(get_string(*topo, "kind", "direct"));
-    if (const Json* l = topo->find("link")) {
-      spec.topology.link = parse_link(*l, "link");
-    }
-    if (const Json* t = topo->find("trunk")) {
-      spec.topology.trunk = parse_link(*t, "trunk");
-    }
-    if (const Json* u = topo->find("uplink")) {
-      spec.topology.uplink = parse_link(*u, "uplink");
-    }
-    spec.topology.leaves = static_cast<std::uint32_t>(
-        get_uint(*topo, "leaves", spec.topology.leaves));
-    spec.topology.spines = static_cast<std::uint32_t>(
-        get_uint(*topo, "spines", spec.topology.spines));
-    if (spec.topology.leaves == 0 || spec.topology.spines == 0) {
-      throw JsonError(
-          "scenario: topology leaves and spines must each be >= 1");
-    }
-    if (const Json* s = topo->find("switch")) {
-      spec.topology.sw = parse_switch(*s);
-    }
-  }
-
-  if (const Json* inj = doc.find("injector")) {
-    check_keys(*inj, "injector", {"period", "distribution", "mean_us", "seed"});
-    spec.injector.period = get_uint(*inj, "period", 1);
-    const std::string dist = get_string(*inj, "distribution", "");
-    if (!dist.empty()) spec.injector.dist_kind = net::parse_dist_kind(dist);
-    spec.injector.dist_mean_us = get_double(*inj, "mean_us", 0.0);
-    spec.injector.dist_seed = get_uint(*inj, "seed", 42);
-  }
-
-  if (const Json* rs = doc.find("reservations")) {
-    for (const auto& r : rs->items()) {
-      check_keys(r, "reservation", {"borrower", "size_gib", "chunks", "name"});
-      ReservationSpec res;
-      res.borrower = get_string(r, "borrower", "");
-      res.size_gib = get_uint(r, "size_gib", res.size_gib);
-      res.chunks = static_cast<std::uint32_t>(get_uint(r, "chunks", 1));
-      if (res.chunks == 0) {
-        throw JsonError("scenario: reservation chunks must be >= 1");
-      }
-      res.name = get_string(r, "name", res.name);
-      spec.reservations.push_back(std::move(res));
-    }
-  }
-
-  if (const Json* ws = doc.find("workloads")) {
-    for (const auto& w : ws->items()) {
-      check_keys(w, "workload", {"kind", "placement"});
-      WorkloadSpec wl;
-      wl.kind = get_string(w, "kind", wl.kind);
-      wl.placement = get_string(w, "placement", wl.placement);
-      spec.workloads.push_back(std::move(wl));
-    }
-  }
-
-  if (const Json* f = doc.find("faults")) spec.faults = parse_faults(*f);
-  if (const Json* c = doc.find("chaos")) spec.chaos = parse_chaos(*c);
-  if (const Json* d = doc.find("detector")) {
-    spec.detector = parse_detector(*d);
-  }
-  if (const Json* t = doc.find("traffic")) spec.traffic = parse_traffic(*t);
-  if (const Json* s = doc.find("slo")) spec.slo = parse_slo(*s);
-
-  if (const Json* p = doc.find("pdes")) {
-    check_keys(*p, "pdes", {"threads", "lookahead_ns"});
-    spec.pdes.threads =
-        static_cast<std::uint32_t>(get_uint(*p, "threads", 0));
-    spec.pdes.lookahead_ns = get_double(*p, "lookahead_ns", 0.0);
-    if (spec.pdes.lookahead_ns < 0.0) {
-      throw JsonError("scenario: pdes lookahead_ns must be >= 0");
-    }
-  }
-
-  if (const Json* sw = doc.find("sweep")) {
-    check_keys(*sw, "sweep", {"periods", "lenders", "borrowers", "instances"});
-    if (const Json* p = sw->find("periods")) {
-      spec.sweep.periods = parse_uint_array<std::uint64_t>(*p);
-    }
-    if (const Json* l = sw->find("lenders")) {
-      spec.sweep.lenders = parse_uint_array<std::uint32_t>(*l);
-    }
-    if (const Json* b = sw->find("borrowers")) {
-      spec.sweep.borrowers = parse_uint_array<std::uint32_t>(*b);
-    }
-    if (const Json* i = sw->find("instances")) {
-      spec.sweep.instances = parse_uint_array<std::uint32_t>(*i);
-    }
-  }
+  read_block(doc, Path{}, spec, kScenario);
   return spec;
 }
 
@@ -778,80 +766,7 @@ ScenarioSpec load_file(const std::string& path) {
   }
 }
 
-Json to_json(const ScenarioSpec& spec) {
-  Json doc = Json::object();
-  doc.set("name", Json::string(spec.name));
-  doc.set("description", Json::string(spec.description));
-  doc.set("policy", Json::string(spec.policy));
-
-  Json nodes = Json::array();
-  for (const auto& n : spec.nodes) nodes.push(dump_node(n));
-  doc.set("nodes", std::move(nodes));
-
-  Json topo = Json::object();
-  topo.set("kind", Json::string(to_string(spec.topology.kind)));
-  topo.set("link", dump_link(spec.topology.link));
-  topo.set("trunk", dump_link(spec.topology.trunk));
-  topo.set("uplink", dump_link(spec.topology.uplink));
-  topo.set("leaves", Json::number(std::uint64_t{spec.topology.leaves}));
-  topo.set("spines", Json::number(std::uint64_t{spec.topology.spines}));
-  Json sw_cfg = Json::object();
-  sw_cfg.set("buffer_kib",
-             Json::number(static_cast<double>(spec.topology.sw.buffer_bytes) /
-                          1024.0));
-  sw_cfg.set("policy", Json::string(net::to_string(spec.topology.sw.policy)));
-  topo.set("switch", std::move(sw_cfg));
-  doc.set("topology", std::move(topo));
-
-  Json inj = Json::object();
-  inj.set("period", Json::number(spec.injector.period));
-  inj.set("distribution",
-          Json::string(spec.injector.dist_kind.has_value()
-                           ? net::to_string(*spec.injector.dist_kind)
-                           : ""));
-  inj.set("mean_us", Json::number(spec.injector.dist_mean_us));
-  inj.set("seed", Json::number(spec.injector.dist_seed));
-  doc.set("injector", std::move(inj));
-
-  Json rs = Json::array();
-  for (const auto& r : spec.reservations) {
-    Json res = Json::object();
-    res.set("borrower", Json::string(r.borrower));
-    res.set("size_gib", Json::number(r.size_gib));
-    res.set("chunks", Json::number(std::uint64_t{r.chunks}));
-    res.set("name", Json::string(r.name));
-    rs.push(std::move(res));
-  }
-  doc.set("reservations", std::move(rs));
-
-  Json ws = Json::array();
-  for (const auto& w : spec.workloads) {
-    Json wl = Json::object();
-    wl.set("kind", Json::string(w.kind));
-    wl.set("placement", Json::string(w.placement));
-    ws.push(std::move(wl));
-  }
-  doc.set("workloads", std::move(ws));
-
-  doc.set("faults", dump_faults(spec.faults));
-  doc.set("chaos", dump_chaos(spec.chaos));
-  doc.set("detector", dump_detector(spec.detector));
-  doc.set("traffic", dump_traffic(spec.traffic));
-  doc.set("slo", dump_slo(spec.slo));
-
-  Json pdes = Json::object();
-  pdes.set("threads", Json::number(std::uint64_t{spec.pdes.threads}));
-  pdes.set("lookahead_ns", Json::number(spec.pdes.lookahead_ns));
-  doc.set("pdes", std::move(pdes));
-
-  Json sw = Json::object();
-  sw.set("periods", dump_uint_array(spec.sweep.periods));
-  sw.set("lenders", dump_uint_array(spec.sweep.lenders));
-  sw.set("borrowers", dump_uint_array(spec.sweep.borrowers));
-  sw.set("instances", dump_uint_array(spec.sweep.instances));
-  doc.set("sweep", std::move(sw));
-  return doc;
-}
+Json to_json(const ScenarioSpec& spec) { return write_block(spec, kScenario); }
 
 std::string resolved_json(const ScenarioSpec& spec) {
   return to_json(spec).dump() + "\n";
@@ -875,201 +790,6 @@ ScenarioSpec paper_two_node() {
   spec.reservations.push_back(ReservationSpec{});
   spec.workloads.push_back(WorkloadSpec{});
   return spec;
-}
-
-ScenarioSpec pooling_1xN(std::uint32_t lenders) {
-  ScenarioSpec spec;
-  spec.name = "pooling-1xN";
-  spec.description =
-      "One borrower pooling remote memory striped across N equal lenders "
-      "(most-free placement round-robins the chunks)";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = lenders;
-  spec.nodes = {borrower, lender};
-  spec.policy = "most-free";
-  ReservationSpec res;
-  res.size_gib = 16;
-  res.chunks = lenders;
-  res.name = "pooled";
-  spec.reservations.push_back(res);
-  spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
-  spec.sweep.lenders = {1, 2, 4, 8};
-  spec.sweep.periods = {1, 10, 100};
-  return spec;
-}
-
-ScenarioSpec shared_trunk(std::uint32_t borrowers) {
-  ScenarioSpec spec;
-  spec.name = "shared-trunk";
-  spec.description =
-      "M borrower-lender pairs on a two-switch dumbbell sharing one trunk "
-      "-- M:1 oversubscription, the congestion the paper emulates";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  borrower.count = borrowers;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = borrowers;
-  spec.nodes = {borrower, lender};
-  spec.topology.kind = TopologyKind::kDumbbell;
-  spec.policy = "most-free";
-  ReservationSpec res;
-  res.size_gib = 4;
-  res.name = "trunk-share";
-  spec.reservations.push_back(res);
-  spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
-  spec.sweep.borrowers = {1, 2, 4, 8};
-  spec.sweep.periods = {1};
-  return spec;
-}
-
-ScenarioSpec leafspine_rack(std::uint32_t borrowers) {
-  ScenarioSpec spec;
-  spec.name = "leafspine-rack";
-  spec.description =
-      "M borrower-lender pairs across a 2-tier leaf/spine fabric; partners "
-      "sit on different leaves so every access ECMP-stripes over the spines "
-      "-- the contention cliff moves out by the spine count vs one trunk";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  borrower.count = borrowers;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = borrowers;
-  spec.nodes = {borrower, lender};
-  spec.topology.kind = TopologyKind::kLeafSpine;
-  spec.topology.leaves = 8;
-  spec.topology.spines = 4;
-  spec.topology.uplink = spec.topology.link;
-  spec.policy = "most-free";
-  ReservationSpec res;
-  res.size_gib = 4;
-  res.name = "rack-share";
-  spec.reservations.push_back(res);
-  spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
-  spec.sweep.borrowers = {16, 32, 64, 128, 256};
-  spec.sweep.periods = {1};
-  spec.pdes.threads = 8;
-  return spec;
-}
-
-ScenarioSpec serving_diurnal() {
-  ScenarioSpec spec;
-  spec.name = "serving-diurnal";
-  spec.description =
-      "Redis-style serving tier on the 8x4 leaf/spine rack: two tenants "
-      "(3:1 QoS weights) offer a diurnal open-loop load against p50/p99/p999 "
-      "SLOs; lender0 is killed at mid-cycle, forcing both tenants onto the "
-      "survivor where credit-based QoS arbitrates the crunch";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  borrower.count = 8;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = 2;
-  spec.nodes = {borrower, lender};
-  spec.topology.kind = TopologyKind::kLeafSpine;
-  spec.topology.leaves = 8;
-  spec.topology.spines = 4;
-  spec.policy = "slo-aware";
-  spec.workloads.push_back(WorkloadSpec{"openloop", "remote"});
-  spec.pdes.threads = 8;
-
-  spec.traffic.process = "diurnal";
-  spec.traffic.rate_rps = 1.2e6;
-  spec.traffic.clients = 2'000'000;
-  spec.traffic.seed = 20260808;
-  spec.traffic.duration_us = 20'000.0;   // one diurnal cycle
-  spec.traffic.diurnal_period_us = 20'000.0;
-  spec.traffic.diurnal_amplitude = 0.6;
-  spec.traffic.timeout_us = 200.0;
-  spec.traffic.lender_capacity_rps = 1.5e6;
-  spec.traffic.qos_window_us = 100.0;
-  spec.traffic.tenants.push_back(TrafficTenantSpec{"frontend", 3, 0.75});
-  spec.traffic.tenants.push_back(TrafficTenantSpec{"batch", 1, 0.25});
-
-  spec.slo.p50_us = 10.0;
-  spec.slo.p99_us = 40.0;
-  spec.slo.p999_us = 120.0;
-  spec.slo.window_us = 1000.0;
-
-  spec.faults.kill_lender = "lender0";
-  spec.faults.kill_at_us = 10'000.0;  // the diurnal peak
-  return spec;
-}
-
-ScenarioSpec chaos_rack() {
-  ScenarioSpec spec = serving_diurnal();
-  spec.name = "chaos-rack";
-  spec.description =
-      "Gray-failure chaos drill on the serving rack: lender0 turns gray (6x "
-      "service inflation) at the ramp, a leaf0->spine1 port browns out, and "
-      "spine2 is killed outright; the online health detector re-stripes and "
-      "migrates sources before the timeout budget burns down";
-  // Steady offered load (no diurnal swing) so every p99 excursion in the
-  // bench is attributable to a chaos window, not the arrival process.  The
-  // rate is sized so the gray lender stays *below* its inflated capacity:
-  // a true gray failure serves every request, just slowly -- queueing
-  // pushes p99 far past target while staying under the 200us timeout, so
-  // the timeout-only baseline never reacts and rides out the whole window.
-  spec.traffic.process = "poisson";
-  spec.traffic.rate_rps = 2.0e5;
-  spec.traffic.duration_us = 16'000.0;
-  spec.traffic.seed = 20260808;
-  spec.faults.kill_lender.clear();  // chaos timeline drives all failures
-  spec.faults.kill_at_us = 0.0;
-
-  // The bench scores each chaos event by how many SLO windows stay
-  // p99-degraded; 500us windows give ~100 outcomes per window at this rate.
-  // The p99 bar sits between the healthy plateau (~6us round-trips) and the
-  // gray lender's queueing plateau (~25-30us), so a window is degraded for
-  // exactly as long as traffic still rides the gray lender.
-  spec.slo.window_us = 500.0;
-  spec.slo.p99_us = 20.0;
-
-  // 6x inflation: gray round-trips run ~5x the healthy baseline -- far
-  // past latency_threshold (sick in a handful of completions) and past
-  // rejoin_margin even when the lender idles under probe-only load, yet
-  // comfortably inside the request timeout.
-  spec.chaos.seed = 7;
-  spec.chaos.events = {
-      {2'000.0, ChaosKind::kGrayLender, "lender0", 6.0, 0.0},
-      {6'000.0, ChaosKind::kRecover, "lender0", 0.0, 0.0},
-      {8'000.0, ChaosKind::kBrownoutPort, "leaf0:spine1", 0.25, 2'000.0},
-      {11'000.0, ChaosKind::kKillSwitch, "spine2", 0.0, 0.0},
-      {14'000.0, ChaosKind::kRecover, "spine2", 0.0, 0.0},
-  };
-  spec.detector.enabled = true;
-  return spec;
-}
-
-std::optional<ScenarioSpec> builtin(const std::string& name) {
-  if (name == "paper_twonode") return paper_two_node();
-  if (name == "pooling_1xN") return pooling_1xN();
-  if (name == "trunk_contention") return shared_trunk();
-  if (name == "leafspine_rack128") return leafspine_rack();
-  if (name == "serving_diurnal") return serving_diurnal();
-  if (name == "chaos_rack") return chaos_rack();
-  return std::nullopt;
 }
 
 }  // namespace tfsim::scenario

@@ -2,14 +2,15 @@
 // disaggregation testbed as data instead of code.
 //
 // A ScenarioSpec names the nodes (roles, DRAM, NIC), the topology joining
-// them (direct full-mesh links or a two-switch dumbbell with a shared
-// trunk), the delay injector, the remote-memory reservations (with the
-// control-plane placement policy, and optional striping across lenders),
-// workload bindings, and sweep axes.  Specs are buildable programmatically
-// (the builders below) or loadable from a small JSON file under
-// scenarios/ -- the same config-driven approach rack-scale simulators such
-// as DRackSim and CXL-ClusterSim use to cover many cluster shapes without
-// baked-in topologies.  node::Cluster turns a spec into a live testbed.
+// them (direct full-mesh links, a two-switch dumbbell with a shared trunk,
+// or a leaf/spine fabric), the delay injector, the remote-memory
+// reservations (with the control-plane placement policy, and optional
+// striping across lenders), workload bindings, faults, chaos, serving
+// traffic and sweep axes.  The JSON files under scenarios/ are the only
+// definition of each testbed -- the same config-driven approach rack-scale
+// simulators such as DRackSim and CXL-ClusterSim use to cover many cluster
+// shapes without baked-in topologies.  node::Cluster turns a spec into a
+// live testbed.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@ namespace tfsim::scenario {
 enum class Role { kBorrower, kLender };
 
 std::string to_string(Role role);
+/// Throws std::invalid_argument listing the accepted names (so do the others).
 Role parse_role(const std::string& name);
 
 /// One node *template*: `count` > 1 expands into count nodes named
@@ -246,8 +248,9 @@ struct SloSpec {
   double window_us = 1000.0;  ///< compliance-scoring window length
 };
 
-/// Intra-run parallelism (sim/pdes.hpp): partition the engine into one
-/// calendar per node and run barrier windows on `threads` workers.  The
+/// Intra-run parallelism (sim/pdes.hpp): one calendar per node, advanced in
+/// lookahead windows that the calling thread runs itself, sharing a window
+/// with up to `threads` - 1 helpers once it outlasts a handoff.  The
 /// TFSIM_PDES env var overrides the scenario at build time ("off" forces
 /// serial, N forces N workers).  Lookahead 0 derives the horizon from the
 /// fabric's minimum link propagation — the only always-sound choice; set
@@ -297,7 +300,9 @@ struct ScenarioSpec {
 // --- JSON (schema documented in DESIGN.md section 9) -----------------------
 
 /// Parse a scenario document; throws JsonError on syntax errors, unknown
-/// keys (so files cannot rot silently), or invalid values.
+/// keys (so files cannot rot silently), or invalid values -- naming the
+/// field at fault ("scenario: nodes[0].count: expected a non-negative
+/// integer").  Absent keys keep the struct defaults above.
 ScenarioSpec from_json(const Json& doc);
 ScenarioSpec parse(const std::string& text);
 /// Load from a file; throws std::runtime_error when unreadable.
@@ -309,33 +314,8 @@ ScenarioSpec load_file(const std::string& path);
 Json to_json(const ScenarioSpec& spec);
 std::string resolved_json(const ScenarioSpec& spec);
 
-// --- built-in scenarios ----------------------------------------------------
-
-/// The paper's two-node ThymesisFlow prototype (== node::thymesisflow_testbed).
+/// The paper's two-node ThymesisFlow prototype (== node::thymesisflow_testbed
+/// and scenarios/paper_twonode.json); the default of core::FaultMatrixOptions.
 ScenarioSpec paper_two_node();
-/// 1 borrower pooling memory from `lenders` equal lenders, reservation
-/// striped across all of them (most-free placement).
-ScenarioSpec pooling_1xN(std::uint32_t lenders = 4);
-/// `borrowers` borrower-lender pairs sharing one dumbbell trunk.
-ScenarioSpec shared_trunk(std::uint32_t borrowers = 4);
-/// `borrowers` borrower-lender pairs spread over a rack-scale leaf/spine
-/// fabric (8 leaves x 4 spines at the default 128 pairs); partners land on
-/// different leaves so every access crosses a spine.
-ScenarioSpec leafspine_rack(std::uint32_t borrowers = 128);
-/// Redis-style serving tier on the 8x4 rack: two tenants (3:1 QoS weights)
-/// offering a diurnal open-loop load against declared p50/p99/p999 SLOs,
-/// with a lender killed mid-cycle to exercise reactive re-placement.
-ScenarioSpec serving_diurnal();
-/// Gray-failure chaos drill on the serving rack: the diurnal serving tier
-/// with a scripted timeline -- a gray lender (8x service inflation), a
-/// spine-port brownout, and a killed spine -- and the online detector
-/// enabled so sources re-stripe/migrate before timeouts exhaust the retry
-/// budget.  bench/chaos_mttr runs it with the detector on and off.
-ScenarioSpec chaos_rack();
-
-/// Look up a built-in by its scenario file stem ("paper_twonode",
-/// "pooling_1xN", "trunk_contention", "leafspine_rack128"); nullopt when
-/// unknown.
-std::optional<ScenarioSpec> builtin(const std::string& name);
 
 }  // namespace tfsim::scenario

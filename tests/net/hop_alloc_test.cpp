@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "checked_in_scenario.hpp"
 #include "core/serving.hpp"
 #include "net/network.hpp"
 #include "node/cluster.hpp"
@@ -49,7 +50,8 @@ struct Line {
 
   Line() {
     for (int i = 0; i < 6; ++i) {
-      const std::string name = "n" + std::to_string(i);
+      std::string name = "n";
+      name += std::to_string(i);
       nodes.push_back(i == 0 || i == 5 ? net.add_node(name)
                                        : net.add_switch(name));
     }
@@ -97,7 +99,7 @@ TEST(HopAllocationTest, FiveHopsAllocateAsOftenAsOneHop) {
 
 /// Heap allocations per offered request over a whole serial run_serving.
 double allocations_per_request(const char* scenario) {
-  auto spec = *scenario::builtin(scenario);
+  auto spec = checked_in_scenario(scenario);
   spec.pdes.threads = 1;
   node::Cluster cluster(spec);
   const std::uint64_t before = g_allocations.load();

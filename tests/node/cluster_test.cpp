@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "checked_in_scenario.hpp"
 #include "node/cluster.hpp"
 #include "node/testbed.hpp"
 #include "scenario/scenario.hpp"
@@ -31,7 +32,7 @@ TEST(ClusterTest, TwoNodeSpecMatchesTestbed) {
 }
 
 TEST(ClusterTest, FindResolvesExpandedNames) {
-  Cluster cluster(scenario::pooling_1xN(4));
+  Cluster cluster(pooling_scenario(4));
   ASSERT_EQ(cluster.num_nodes(), 5u);
   EXPECT_NE(cluster.find("borrower"), nullptr);
   EXPECT_NE(cluster.find("lender0"), nullptr);
@@ -44,7 +45,7 @@ TEST(ClusterTest, ChunkedMostFreeStripesAcrossLenders) {
   // 16 GiB in 4 chunks under most-free with equal lenders: each chunk must
   // land on a different lender (round-robin pooling), and the attached
   // window stays contiguous on the borrower.
-  Cluster cluster(scenario::pooling_1xN(4));
+  Cluster cluster(pooling_scenario(4));
   ASSERT_TRUE(cluster.attach_remote());
   EXPECT_EQ(cluster.remote_span(), 16 * sim::kGiB);
   std::set<std::uint64_t> lent;
@@ -59,7 +60,7 @@ TEST(ClusterTest, ChunkedMostFreeStripesAcrossLenders) {
 }
 
 TEST(ClusterTest, DumbbellPairsEveryBorrowerWithALender) {
-  scenario::ScenarioSpec spec = scenario::shared_trunk(4);
+  scenario::ScenarioSpec spec = pairs_scenario("trunk_contention", 4);
   Cluster cluster(spec);
   ASSERT_EQ(cluster.num_borrowers(), 4u);
   ASSERT_EQ(cluster.num_lenders(), 4u);
@@ -74,7 +75,7 @@ TEST(ClusterTest, DumbbellPairsEveryBorrowerWithALender) {
 }
 
 TEST(ClusterTest, SetPeriodReachesEveryBorrowerNic) {
-  Cluster cluster(scenario::shared_trunk(2));
+  Cluster cluster(pairs_scenario("trunk_contention", 2));
   cluster.set_period(64);
   EXPECT_EQ(cluster.period(), 64u);
   for (std::size_t i = 0; i < cluster.num_borrowers(); ++i) {
@@ -110,7 +111,7 @@ TEST(ClusterTest, AttachTimesOutAtExtremePeriod) {
 // B=3 not divisible by L=2, borrower i and lender i always land on
 // opposite leaves, so every remote access crosses a spine.
 scenario::ScenarioSpec small_rack() {
-  scenario::ScenarioSpec spec = scenario::leafspine_rack(3);
+  scenario::ScenarioSpec spec = pairs_scenario("leafspine_rack128", 3);
   spec.topology.leaves = 2;
   spec.topology.spines = 2;
   spec.pdes.threads = 0;  // serial: keep the runtime domain checker armed

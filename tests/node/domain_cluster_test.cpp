@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "checked_in_scenario.hpp"
 #include "mem/address.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
@@ -22,7 +23,7 @@ CpuConfig test_cpu() {
 }
 
 TEST(DomainClusterTest, EveryNodeGetsItsOwnDomain) {
-  Cluster cluster(scenario::pooling_1xN(3));
+  Cluster cluster(pooling_scenario(3));
   EXPECT_EQ(cluster.domains().num_domains(), 4u);
   // Domain ids follow declaration order, and every owned object is bound.
   for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 
+#include "checked_in_scenario.hpp"
 #include "core/serving.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
@@ -19,7 +20,7 @@ namespace {
 /// port brownout, switch kill, recover) lands inside the shortened horizon
 /// because the timeline scales with the traffic.
 scenario::ScenarioSpec compressed_chaos(std::uint32_t threads) {
-  auto spec = *scenario::builtin("chaos_rack");
+  auto spec = checked_in_scenario("chaos_rack");
   const double scale = 0.5;
   spec.traffic.duration_us *= scale;
   spec.slo.window_us *= scale;

@@ -5,6 +5,7 @@
 // across completion, shedding, QoS rejection, and timeout-driven failover.
 #include <gtest/gtest.h>
 
+#include "checked_in_scenario.hpp"
 #include "core/serving.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
@@ -13,7 +14,7 @@ namespace tfsim::node {
 namespace {
 
 scenario::ScenarioSpec compressed_serving() {
-  auto spec = *scenario::builtin("serving_diurnal");
+  auto spec = checked_in_scenario("serving_diurnal");
   spec.traffic.duration_us = 2000.0;
   spec.traffic.diurnal_period_us = 2000.0;
   spec.faults.kill_at_us = 1000.0;

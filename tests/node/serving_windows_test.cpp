@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "checked_in_scenario.hpp"
 #include "core/serving.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
@@ -25,7 +26,7 @@ struct WindowRun {
 };
 
 WindowRun run_scenario(const std::string& name, unsigned threads) {
-  auto spec = *scenario::builtin(name);
+  auto spec = checked_in_scenario(name);
   spec.pdes.threads = threads;
   Cluster cluster(spec);
   const core::ServingReport rep = core::run_serving(cluster);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "checked_in_scenario.hpp"
 #include "core/serving.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
@@ -48,7 +49,7 @@ class PdesEnvPin {
 };
 
 core::ServingReport serving_run(unsigned threads, std::uint64_t seed) {
-  auto spec = *scenario::builtin("serving_diurnal");
+  auto spec = checked_in_scenario("serving_diurnal");
   spec.traffic.seed = seed;
   spec.traffic.duration_us = 2000.0;
   spec.traffic.diurnal_period_us = 2000.0;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "checked_in_scenario.hpp"
 #include "node/testbed.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
@@ -12,18 +15,17 @@
 namespace tfsim::scenario {
 namespace {
 
-// --- built-ins ---------------------------------------------------------
+// --- checked-in files and the in-code paper testbed ---------------------
 
-TEST(ScenarioBuiltinTest, LookupByFileStem) {
-  EXPECT_TRUE(builtin("paper_twonode").has_value());
-  EXPECT_TRUE(builtin("pooling_1xN").has_value());
-  EXPECT_TRUE(builtin("trunk_contention").has_value());
-  EXPECT_TRUE(builtin("leafspine_rack128").has_value());
-  EXPECT_FALSE(builtin("no-such-scenario").has_value());
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 TEST(ScenarioBuiltinTest, LeafSpineRackShape) {
-  const ScenarioSpec spec = leafspine_rack();
+  const ScenarioSpec spec = checked_in_scenario("leafspine_rack128");
   EXPECT_EQ(spec.topology.kind, TopologyKind::kLeafSpine);
   EXPECT_EQ(spec.topology.leaves, 8u);
   EXPECT_EQ(spec.topology.spines, 4u);
@@ -72,8 +74,16 @@ TEST(ScenarioBuiltinTest, PaperTwoNodeMatchesTestbedDefaults) {
   EXPECT_EQ(resolved_json(shim), resolved_json(spec));
 }
 
+// paper_two_node() is the one spec still written in code (the default of
+// core::FaultMatrixOptions); it must stay the checked-in file, byte for byte.
+TEST(ScenarioBuiltinTest, PaperTwoNodeEqualsCheckedInFile) {
+  EXPECT_EQ(resolved_json(paper_two_node()),
+            read_text(std::string(TFSIM_SCENARIO_SOURCE_DIR) +
+                      "/paper_twonode.json"));
+}
+
 TEST(ScenarioBuiltinTest, CountExpansionAndOverrides) {
-  ScenarioSpec spec = pooling_1xN(4);
+  ScenarioSpec spec = checked_in_scenario("pooling_1xN");
   EXPECT_EQ(spec.expanded_node_count(), 5u);  // 1 borrower + 4 lenders
   spec.set_lender_count(8);
   EXPECT_EQ(spec.expanded_node_count(), 9u);
@@ -84,11 +94,11 @@ TEST(ScenarioBuiltinTest, CountExpansionAndOverrides) {
 // --- JSON parse / serialize --------------------------------------------
 
 TEST(ScenarioJsonTest, ResolvedJsonRoundTripsExactly) {
-  for (const char* name : {"paper_twonode", "pooling_1xN", "trunk_contention",
-                           "leafspine_rack128"}) {
-    const ScenarioSpec spec = *builtin(name);
-    const std::string dumped = resolved_json(spec);
-    EXPECT_EQ(resolved_json(parse(dumped)), dumped) << name;
+  const std::vector<std::string> files = checked_in_scenario_files();
+  ASSERT_GE(files.size(), 8u);
+  for (const std::string& file : files) {
+    const std::string dumped = resolved_json(load_file(file));
+    EXPECT_EQ(resolved_json(parse(dumped)), dumped) << file;
   }
 }
 
@@ -219,7 +229,7 @@ TEST(ScenarioJsonTest, FaultsDefaultToPristine) {
 }
 
 TEST(ScenarioJsonTest, FaultySpecRoundTripsExactly) {
-  ScenarioSpec spec = *builtin("paper_twonode");
+  ScenarioSpec spec = paper_two_node();
   spec.faults.link.loss_rate = 1e-3;
   spec.faults.link.flaps.push_back(
       net::FlapSpec{sim::from_us(50.0), sim::from_us(25.0), 0.0});
@@ -296,7 +306,124 @@ TEST(ScenarioJsonTest, InvalidValuesRejected) {
   EXPECT_THROW(parse(R"({"name": 42})"), JsonError);  // kind mismatch
 }
 
+/// parse(doc) must throw a JsonError whose message contains `needle`.
+void expect_error(const std::string& doc, const std::string& needle) {
+  try {
+    parse(doc);
+    ADD_FAILURE() << "accepted: " << doc;
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A document with one node plus `blocks` (a comma-led member list).
+std::string with_node(const std::string& blocks) {
+  return R"({"nodes": [{"name": "b"}])" + blocks + "}";
+}
+
+// A value of the wrong JSON kind names the field it sits in: one key per
+// block of the schema.
+TEST(ScenarioJsonTest, WrongKindNamesTheField) {
+  expect_error(R"({"name": 42, "nodes": [{}]})",
+               "scenario: name: expected a string");
+  expect_error(R"({"nodes": {}})", "scenario: nodes: expected an array");
+  expect_error(R"({"nodes": [7]})", "scenario: nodes[0]: expected an object");
+  expect_error(R"({"nodes": [{"count": "two"}]})",
+               "scenario: nodes[0].count: expected a non-negative integer");
+  expect_error(R"({"nodes": [{"role": 1}]})",
+               "scenario: nodes[0].role: expected a string");
+  expect_error(R"({"nodes": [{"with_nic": 1}]})",
+               "scenario: nodes[0].with_nic: expected a boolean");
+  expect_error(R"({"nodes": [{"name": "b"}, {"dram": {"latency_ns": "x"}}]})",
+               "scenario: nodes[1].dram.latency_ns: expected a number");
+  expect_error(R"({"nodes": [{"nic": {"fpga_clock_mhz": true}}]})",
+               "scenario: nodes[0].nic.fpga_clock_mhz: expected a number");
+  expect_error(with_node(R"(, "topology": [])"),
+               "scenario: topology: expected an object");
+  expect_error(with_node(R"(, "topology": {"kind": 3})"),
+               "scenario: topology.kind: expected a string");
+  expect_error(with_node(R"(, "topology": {"trunk": {"bandwidth_gbit": "x"}})"),
+               "scenario: topology.trunk.bandwidth_gbit: expected a number");
+  expect_error(with_node(R"(, "topology": {"switch": {"buffer_kib": []}})"),
+               "scenario: topology.switch.buffer_kib: expected a number");
+  expect_error(with_node(R"(, "injector": {"seed": "x"})"),
+               "scenario: injector.seed: expected a non-negative integer");
+  expect_error(with_node(R"(, "reservations": [{"size_gib": "x"}])"),
+               "scenario: reservations[0].size_gib: expected a non-negative "
+               "integer");
+  expect_error(with_node(R"(, "workloads": [{"kind": 1}])"),
+               "scenario: workloads[0].kind: expected a string");
+  expect_error(with_node(R"(, "faults": {"loss_rate": "x"})"),
+               "scenario: faults.loss_rate: expected a number");
+  expect_error(with_node(R"(, "faults": {"flaps": [{"for_us": "x"}]})"),
+               "scenario: faults.flaps[0].for_us: expected a number");
+  expect_error(with_node(R"(, "faults": {"kill_lender": {"node": 5}})"),
+               "scenario: faults.kill_lender.node: expected a string");
+  expect_error(with_node(R"(, "chaos": {"seed": "x"})"),
+               "scenario: chaos.seed: expected a non-negative integer");
+  expect_error(with_node(R"(, "chaos": {"events": [{"target": 5}]})"),
+               "scenario: chaos.events[0].target: expected a string");
+  expect_error(with_node(R"(, "detector": {"enabled": "yes"})"),
+               "scenario: detector.enabled: expected a boolean");
+  expect_error(with_node(R"(, "traffic": {"rate_rps": "x"})"),
+               "scenario: traffic.rate_rps: expected a number");
+  expect_error(with_node(R"(, "traffic": {"tenants": [{"weight": "x"}]})"),
+               "scenario: traffic.tenants[0].weight: expected a non-negative "
+               "integer");
+  expect_error(with_node(R"(, "slo": {"p99_us": "x"})"),
+               "scenario: slo.p99_us: expected a number");
+  expect_error(with_node(R"(, "pdes": {"threads": "x"})"),
+               "scenario: pdes.threads: expected a non-negative integer");
+  expect_error(with_node(R"(, "sweep": {"periods": 5})"),
+               "scenario: sweep.periods: expected an array");
+  expect_error(with_node(R"(, "sweep": {"lenders": [1, "x"]})"),
+               "scenario: sweep.lenders[1]: expected a non-negative integer");
+}
+
+// Numbers the member cannot hold fail at load, naming the field, instead of
+// wrapping, overflowing a conversion, or dumping as an unparseable "inf".
+TEST(ScenarioJsonTest, UnrepresentableValuesNameTheField) {
+  expect_error(R"({"nodes": [{"count": 4294967296}]})",
+               "scenario: nodes[0].count: expected an integer below "
+               "4294967296");
+  expect_error(R"({"nodes": [{"count": 1.5}]})",
+               "scenario: nodes[0].count: expected a non-negative integer");
+  expect_error(R"({"nodes": [{"dram": {"latency_ns": -1}}]})",
+               "scenario: nodes[0].dram.latency_ns: expected a number in [0, ");
+  expect_error(R"({"nodes": [{"dram": {"capacity_gib": 1e300}}]})",
+               "scenario: nodes[0].dram.capacity_gib: expected a number in "
+               "[0, ");
+  expect_error(with_node(R"(, "slo": {"p99_us": 1e999})"),
+               "scenario: slo.p99_us: expected a finite number");
+  expect_error(
+      with_node(R"(, "topology": {"link": {"bandwidth_gbit": 1e308}})"),
+               "scenario: topology.link.bandwidth_gbit: expected a positive "
+               "finite number");
+  expect_error(R"({"nodes": [{"dram": {"bandwidth_gbyte": 0}}]})",
+               "scenario: nodes[0].dram.bandwidth_gbyte: expected a positive "
+               "finite number");
+  expect_error(with_node(R"(, "injector": {"distribution": "zipf"})"),
+               "scenario: injector.distribution: unknown latency "
+               "distribution: zipf");
+  expect_error(with_node(R"(, "nodes2": 1)"),
+               "scenario: unknown key \"nodes2\"");
+  expect_error(R"({"nodes": [{"dram": {"size_gib": 1}}]})",
+               "scenario: nodes[0].dram: unknown key \"size_gib\"");
+  expect_error(
+      with_node(R"(, "chaos": {"events": [{"at_us": 1, "target": "s"}]})"),
+               "scenario: chaos.events[0].kind: required key is missing");
+}
+
 // --- chaos timeline + detector ------------------------------------------
+
+TEST(ScenarioChaosTest, ChaosRackBuiltinRoundTripsExactly) {
+  for (const char* name : {"chaos_rack", "serving_diurnal"}) {
+    const ScenarioSpec spec = checked_in_scenario(name);
+    const std::string dumped = resolved_json(spec);
+    EXPECT_EQ(resolved_json(parse(dumped)), dumped) << name;
+  }
+}
 
 TEST(ScenarioChaosTest, ChaosAndDetectorBlocksParse) {
   const ScenarioSpec spec = parse(R"({
@@ -351,14 +478,6 @@ TEST(ScenarioChaosTest, ChaosAndDetectorBlocksParse) {
   EXPECT_EQ(resolved_json(parse(dumped)), dumped);
 }
 
-TEST(ScenarioChaosTest, ChaosRackBuiltinRoundTripsExactly) {
-  for (const char* name : {"chaos_rack", "serving_diurnal"}) {
-    const ScenarioSpec spec = *builtin(name);
-    const std::string dumped = resolved_json(spec);
-    EXPECT_EQ(resolved_json(parse(dumped)), dumped) << name;
-  }
-}
-
 TEST(ScenarioChaosTest, MalformedTimelineFailsAtParseNamingTheEvent) {
   const auto chaos_doc = [](const std::string& events) {
     return R"({"nodes": [{"name": "b"}], "chaos": {"events": [)" + events +
@@ -390,6 +509,10 @@ TEST(ScenarioChaosTest, MalformedTimelineFailsAtParseNamingTheEvent) {
           "for_us": 100},
          {"at_us": 50, "kind": "kill_switch", "target": "spine0"})",
       "chaos event 1 overlaps the previous window on \"spine0\"");
+  // A window past the picosecond clock's range.
+  expect_message(
+      R"({"at_us": 1e300, "kind": "kill_switch", "target": "spine0"})",
+      "chaos event 0: at_us + for_us must be below 2^64 ps");
   // Out-of-order timeline.
   expect_message(
       R"({"at_us": 50, "kind": "kill_switch", "target": "spine0"},

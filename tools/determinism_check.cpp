@@ -683,6 +683,12 @@ bool scenario_fabric(std::uint64_t seed, std::ostringstream& out) {
   return match;
 }
 
+/// A checked-in scenarios/<stem>.json, the only definition of the testbed.
+tfsim::scenario::ScenarioSpec scenario_file(const std::string& stem) {
+  return tfsim::scenario::load_file(std::string(TFSIM_SCENARIO_SOURCE_DIR) +
+                                    "/" + stem + ".json");
+}
+
 // Scenario 10: the open-loop serving harness.  A compressed serving_diurnal
 // (one 2 ms diurnal cycle, the lender kill at its peak) driven through
 // run_serving; the harness already serializes every observable -- source
@@ -692,7 +698,7 @@ bool scenario_fabric(std::uint64_t seed, std::ostringstream& out) {
 // TFSIM_PDES=8, which would silently retarget the serial reference).
 tfsim::core::ServingReport serving_traffic(std::uint64_t seed,
                                            unsigned threads) {
-  auto spec = *tfsim::scenario::builtin("serving_diurnal");
+  auto spec = scenario_file("serving_diurnal");
   spec.traffic.seed = seed;
   spec.traffic.duration_us = 2000.0;
   spec.traffic.diurnal_period_us = 2000.0;
@@ -745,7 +751,7 @@ bool scenario_serving(std::uint64_t seed, std::ostringstream& out) {
 // so the canonical serialization must match from 1 to 8 workers.
 tfsim::core::ServingReport chaos_traffic(std::uint64_t seed,
                                          unsigned threads) {
-  auto spec = *tfsim::scenario::builtin("chaos_rack");
+  auto spec = scenario_file("chaos_rack");
   const double scale = 0.5;
   spec.traffic.seed = seed;
   spec.traffic.duration_us *= scale;

@@ -2,13 +2,13 @@
 // round-trips exactly, build the cluster, attach the remote memory, and
 // push a short burst of traffic through every borrower NIC.
 //
-// CI runs this over each checked-in scenarios/*.json so a file that rots
-// (schema drift, typo'd key, unbuildable topology) fails the build, not
-// the first user who tries it.  `--dump <name>` prints a built-in spec as
-// resolved JSON -- the checked-in files are generated this way, so file
-// and builder can never disagree.
+// With no arguments it runs every *.json in the source tree's scenarios/
+// directory, so a file that rots (schema drift, typo'd key, unbuildable
+// topology) fails the build, not the first user who tries it.  Arguments
+// name scenarios (a file stem or a path) to run instead.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -23,8 +23,10 @@ using namespace tfsim;
 
 namespace {
 
-bool smoke(const std::string& name) {
-  const scenario::ScenarioSpec spec = bench::load_scenario(name);
+bool smoke(const std::string& name_or_path) {
+  const scenario::ScenarioSpec spec = bench::load_scenario(name_or_path);
+  const std::string name =
+      std::filesystem::path(name_or_path).stem().string();
 
   // Round-trip: the resolved dump must parse back to an identical dump.
   const std::string dumped = scenario::resolved_json(spec);
@@ -95,21 +97,15 @@ bool smoke(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--dump") == 0) {
-    const auto spec = scenario::builtin(argv[2]);
-    if (!spec.has_value()) {
-      std::fprintf(stderr, "unknown built-in scenario: %s\n", argv[2]);
-      return 2;
-    }
-    std::fputs(scenario::resolved_json(*spec).c_str(), stdout);
-    return 0;
-  }
-
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names(argv + 1, argv + argc);
   if (names.empty()) {
-    names = {"paper_twonode", "pooling_1xN", "trunk_contention",
-             "leafspine_rack128", "serving_diurnal", "chaos_rack"};
+    for (const auto& entry :
+         std::filesystem::directory_iterator(TFSIM_SCENARIO_SOURCE_DIR)) {
+      if (entry.path().extension() == ".json") {
+        names.push_back(entry.path().string());
+      }
+    }
+    std::sort(names.begin(), names.end());
   }
   bool ok = true;
   for (const auto& n : names) ok = smoke(n) && ok;
