@@ -5,8 +5,8 @@
 // it.  The routed-fabric rows do the same for the serving workloads: a
 // post_routed hop on a leaf/spine fabric, one switch admission, and one
 // ParallelEngine window at the serving tier's shape (22 domains, 4 events
-// per window); each reports ns per hop, admission or window as
-// 1e9 / items_per_second.
+// per window) and one domain slice inside such a window; each reports ns
+// per hop, admission, window or slice as 1e9 / items_per_second.
 //
 // Emits BENCH_layers.json (google-benchmark JSON, mirrored into
 // $TFSIM_CSV_DIR) unless the caller passes its own --benchmark_out.
@@ -24,6 +24,7 @@
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/domain.hpp"
+#include "sim/engine.hpp"
 #include "sim/pdes.hpp"
 
 namespace {
@@ -220,6 +221,31 @@ void BM_PdesWindow(benchmark::State& state) {
   state.counters["shared_windows"] = static_cast<double>(pdes.shared_windows());
 }
 BENCHMARK(BM_PdesWindow)->ArgName("threads")->Arg(1)->Arg(2);
+
+// One domain slice at the serving shape: a request event and its timeout
+// are scheduled, the request cancels its timeout when it runs, and the
+// slice fires it through one run_before call, which also drops the
+// cancelled timeout that surfaces as the head.  One item is one slice.
+void BM_DomainSlice(benchmark::State& state) {
+  constexpr tfsim::sim::Time kWindow = 300'000;        // 300 ns lookahead
+  constexpr tfsim::sim::Time kTimeout = 1'000'000'000;  // 1 ms
+  tfsim::sim::Engine engine;
+  tfsim::sim::Engine::EventId timeout;
+  std::uint64_t completed = 0;
+  tfsim::sim::Time t = 0;
+  for (auto _ : state) {
+    t += kWindow;
+    timeout = engine.schedule_at(t + kTimeout, [] {});
+    engine.schedule_at(t, [&] {
+      engine.cancel(timeout);
+      ++completed;
+    });
+    benchmark::DoNotOptimize(engine.run_before(t + kWindow));
+  }
+  benchmark::DoNotOptimize(completed);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DomainSlice);
 
 }  // namespace
 

@@ -380,7 +380,7 @@ bool Cluster::attach_remote() {
             k + 1 == res.chunks ? size - chunk * (res.chunks - 1) : chunk;
         std::string name = res.name;
         if (targets.size() > 1) name += "@" + b->name();
-        if (res.chunks > 1) name += "#" + std::to_string(k);
+        if (res.chunks > 1) name.append("#").append(std::to_string(k));
         const auto reservation =
             cp_->reserve(registry_id(*b), bytes, name);
         if (!reservation.has_value()) {

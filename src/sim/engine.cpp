@@ -12,30 +12,35 @@ std::uint32_t Engine::acquire_slot() {
     free_.pop_back();
     return idx;
   }
+  if (slots_.size() > kSlotMask) {
+    throw std::length_error("Engine::schedule_at: 2^24 events pending");
+  }
   const auto idx = static_cast<std::uint32_t>(slots_.size());
   slots_.emplace_back();
   return idx;
 }
 
-void Engine::release_slot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
+void Engine::release_slot(Slot& s, std::uint64_t key) {
   s.cb = nullptr;  // drop capture storage; the slab itself is recycled
-  ++s.gen;         // invalidate outstanding handles and queue entries
-  s.live = false;
-  free_.push_back(idx);
+  s.key = kFree;   // invalidate outstanding handles and queue entries
+  free_.push_back(static_cast<std::uint32_t>(key & kSlotMask));
 }
 
 Engine::EventId Engine::schedule_at(Time t, Callback&& cb) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time is in the past");
   }
+  if (next_seq_ > kMaxSeq) {
+    throw std::length_error("Engine::schedule_at: 2^40 - 1 events scheduled");
+  }
   const std::uint32_t idx = acquire_slot();
-  Slot& s = slots_[idx];
+  const std::uint64_t key = next_seq_++ << kSlotBits | idx;
+  Slot& s = slot_of(key);
   s.cb = std::move(cb);
-  s.live = true;
-  queue_.push(Entry{t, next_seq_++, idx, s.gen});
+  s.key = key;
+  queue_.push(Entry{t, key});
   ++live_;
-  return EventId(this, idx, s.gen);
+  return EventId(this, key);
 }
 
 void Engine::cancel(EventId& id) {
@@ -44,13 +49,10 @@ void Engine::cancel(EventId& id) {
     // no-op; with per-domain calendars it masks cross-domain cancel bugs,
     // so report it when a checker is bound (strict mode throws).
     report_foreign_cancel(id);
-  } else if (id.owner_ == this && id.slot_ < slots_.size()) {
-    const Slot& s = slots_[id.slot_];
-    if (s.live && s.gen == id.gen_) {
-      release_slot(id.slot_);
-      assert(live_ > 0);
-      --live_;
-    }
+  } else if (id.valid()) {
+    release_slot(slot_of(id.key_), id.key_);
+    assert(live_ > 0);
+    --live_;
   }
   id = EventId{};
 }
@@ -72,31 +74,25 @@ void Engine::report_foreign_cancel(const EventId& id) const {
   checker_->report(std::move(v));
 }
 
-bool Engine::pop_next(Entry& ev) {
-  while (!queue_.empty()) {
-    const Entry e = queue_.top();  // trivially copyable: cheap by-value pop
-    queue_.pop();
-    if (entry_live(e)) {
-      ev = e;
-      return true;
-    }
-    // stale entry: cancelled, or the slot was released and reused
-  }
-  return false;
-}
-
-bool Engine::step() {
-  Entry ev;
-  if (!pop_next(ev)) return false;
-  assert(ev.time >= now_);
-  now_ = ev.time;
+void Engine::fire(Entry e) {
+  queue_.pop();
+  assert(e.time >= now_);
+  now_ = e.time;
   // Move the callback out before releasing: it may schedule new events that
-  // immediately reuse this slot under a fresh generation.
-  Callback cb = std::move(slots_[ev.slot].cb);
-  release_slot(ev.slot);
+  // reuse this slot, or grow the slab under it.
+  Slot& s = slot_of(e.key);
+  Callback cb = std::move(s.cb);
+  release_slot(s, e.key);
   --live_;
   ++executed_;
   cb();
+}
+
+bool Engine::step() {
+  // Drop stale entries (cancelled, or their slot released and reused).
+  while (!queue_.empty() && !entry_live(queue_.top())) queue_.pop();
+  if (queue_.empty()) return false;
+  fire(queue_.top());
   return true;
 }
 
@@ -106,27 +102,26 @@ void Engine::run() {
 }
 
 void Engine::run_until(Time t) {
-  for (;;) {
-    // Drop stale entries so the deadline check sees a live event.
-    while (!queue_.empty() && !entry_live(queue_.top())) queue_.pop();
-    if (queue_.empty() || queue_.top().time > t) break;
-    step();
+  if (t == kTimeNever) {
+    run();
+  } else {
+    run_before(t + 1);
   }
   if (t > now_) now_ = t;
 }
 
-void Engine::run_before(Time t) {
-  for (;;) {
-    while (!queue_.empty() && !entry_live(queue_.top())) queue_.pop();
-    if (queue_.empty() || queue_.top().time >= t) break;
-    step();
+Time Engine::run_before(Time t) {
+  while (!queue_.empty()) {
+    const Entry e = queue_.top();
+    if (!entry_live(e)) {
+      queue_.pop();
+    } else if (e.time < t) {
+      fire(e);
+    } else {
+      return e.time;
+    }
   }
-}
-
-std::optional<Time> Engine::next_event_time() {
-  while (!queue_.empty() && !entry_live(queue_.top())) queue_.pop();
-  if (queue_.empty()) return std::nullopt;
-  return queue_.top().time;
+  return kTimeNever;
 }
 
 bool Engine::run_while_pending(const std::function<bool()>& stop) {

@@ -5,17 +5,20 @@
 // construction — equal-time events run in the order they were scheduled.
 //
 // Storage is a slab: callbacks live in pooled slots recycled through a free
-// list, and the priority queue holds small trivially-copyable entries that
-// reference slots by (index, generation).  Callbacks are UniqueFunctions
-// whose captures of up to 64 bytes live inside the slot, so scheduling such
-// an event costs no heap allocation; larger captures cost one.  A stale
-// handle — cancelled, fired, or slot-reused — is detected by a generation
-// mismatch instead of a shared_ptr control block.
+// list, and the priority queue holds 16-byte trivially-copyable entries,
+// (time, seq << 24 | slot).  Every schedule takes the next insertion seq, so
+// comparing the packed word compares seqs and the queue order is exactly
+// (time, seq).  A slot stores the packed word of the event it holds, and an
+// entry or handle is live while its word matches its slot's: a fired,
+// cancelled or reused slot holds another word, so a stale handle or queue
+// entry is detected without a generation counter or a shared_ptr control
+// block.  Callbacks are UniqueFunctions whose captures of up to 64 bytes
+// live inside the slot, so scheduling such an event costs no heap
+// allocation; larger captures cost one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -31,6 +34,12 @@ class Engine {
   /// in the calendar slot without a heap allocation.
   using Callback = UniqueFunction<void()>;
 
+  /// Bits of the packed word that name the slot; the seq takes the rest.
+  /// A calendar holds at most 2^24 pending events and takes at most
+  /// 2^40 - 1 schedules in its lifetime: schedule_at throws rather than
+  /// let either field wrap into another event's word.
+  static constexpr unsigned kSlotBits = 24;
+
   /// Handle for cancelling a scheduled event.  Default-constructed handles
   /// are inert; cancel() on an already-fired event is a no-op.  A handle
   /// references its engine and must not be used after the engine is
@@ -43,11 +52,10 @@ class Engine {
 
    private:
     friend class Engine;
-    EventId(const Engine* owner, std::uint32_t slot, std::uint64_t gen)
-        : owner_(owner), slot_(slot), gen_(gen) {}
+    EventId(const Engine* owner, std::uint64_t key)
+        : owner_(owner), key_(key) {}
     const Engine* owner_ = nullptr;
-    std::uint32_t slot_ = 0;
-    std::uint64_t gen_ = 0;
+    std::uint64_t key_ = 0;  ///< seq << kSlotBits | slot
   };
 
   Engine() = default;
@@ -84,16 +92,16 @@ class Engine {
   /// Run events with time <= t, then set now() = t.
   void run_until(Time t);
 
-  /// Run events with time strictly < t; now() is left at the last executed
-  /// event (NOT advanced to t).  This is the PDES window primitive: a
-  /// domain executes its slice of [window, horizon) without claiming to
-  /// have reached the horizon, so cross-domain arrivals scheduled exactly
-  /// at the horizon are still in this calendar's future.
-  void run_before(Time t);
-
-  /// Earliest live event time, or nullopt when the calendar is empty.
-  /// Prunes stale (cancelled) queue heads as a side effect.
-  std::optional<Time> next_event_time();
+  /// Run events with time strictly < t and return the earliest live event
+  /// time left, or kTimeNever when the calendar is empty; now() is left at
+  /// the last executed event (NOT advanced to t).  This is the PDES window
+  /// primitive: a domain executes its slice of [window, horizon) without
+  /// claiming to have reached the horizon, so cross-domain arrivals
+  /// scheduled exactly at the horizon are still in this calendar's future.
+  /// Each head is checked once: a cancelled one is dropped, a live one
+  /// before `t` fires, and the first live one at or after `t` is the
+  /// result, so run_before(0) only prunes and reports the next event time.
+  Time run_before(Time t);
 
   /// Run until `stop` returns true (checked after every event) or the
   /// calendar empties.  Returns true if `stop` triggered the halt.
@@ -115,36 +123,38 @@ class Engine {
   DomainId domain_id() const { return domain_id_; }
 
  private:
-  /// Pooled callback storage.  `gen` increments every time the slot is
-  /// released (fired or cancelled), invalidating queue entries and handles
-  /// minted against the old generation.
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  /// The word of a free slot.  Seqs stop below 2^40 - 1, so no event's
+  /// word is all ones.
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  static constexpr std::uint64_t kMaxSeq = (kFree >> kSlotBits) - 1;
+
+  /// Pooled callback storage: the packed word of the event it holds, or
+  /// kFree once that event fired or was cancelled.
   struct Slot {
     Callback cb;
-    std::uint64_t gen = 0;
-    bool live = false;
+    std::uint64_t key = kFree;
   };
   /// Calendar entry: trivially copyable, so popping never needs to move a
   /// callback (or const_cast priority_queue::top()).
   struct Entry {
     Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint64_t gen;
+    std::uint64_t key;  ///< seq << kSlotBits | slot: orders equal times
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.key > b.key;
     }
   };
 
-  bool entry_live(const Entry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.gen == e.gen;
-  }
+  Slot& slot_of(std::uint64_t key) { return slots_[key & kSlotMask]; }
+  bool entry_live(const Entry& e) { return slot_of(e.key).key == e.key; }
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t idx);
-  bool pop_next(Entry& ev);
+  void release_slot(Slot& s, std::uint64_t key);
+  /// Pop the live head `e` and run it.
+  void fire(Entry e);
   void report_foreign_cancel(const EventId& id) const;
 
   Time now_ = 0;
@@ -159,9 +169,9 @@ class Engine {
 };
 
 inline bool Engine::EventId::valid() const {
-  if (owner_ == nullptr || slot_ >= owner_->slots_.size()) return false;
-  const Slot& s = owner_->slots_[slot_];
-  return s.live && s.gen == gen_;
+  if (owner_ == nullptr) return false;
+  const std::size_t slot = key_ & kSlotMask;
+  return slot < owner_->slots_.size() && owner_->slots_[slot].key == key_;
 }
 
 }  // namespace tfsim::sim

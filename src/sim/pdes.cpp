@@ -41,22 +41,51 @@ T await_change(const std::atomic<T>& word, T old, std::uint64_t spin) {
   return word.load(std::memory_order_acquire);
 }
 
+/// What each of the last three helper pools this process started measured
+/// for one handoff, in ticks, and how many pools have measured.
+// simlint: allow(R3): host timing of the handoff rule, never a sim result
+std::array<std::atomic<std::uint64_t>, 3> g_handoffs{};
+// simlint: allow(R3): host timing of the handoff rule, never a sim result
+std::atomic<std::uint64_t> g_pools{0};
+
+void record_handoff(std::uint64_t cost) {
+  const std::uint64_t k = g_pools.fetch_add(1, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < g_handoffs.size(); ++i) {
+    // The first pool's figure stands in for the ones not measured yet.
+    if (k == 0 || i == k % g_handoffs.size()) {
+      g_handoffs[i].store(cost, std::memory_order_relaxed);
+    }
+  }
+}
+
+/// One handoff's cost in ticks: the median of the last three pools'
+/// figures, so one pool that measured during a load spike, or while its
+/// helper happened to be awake, is outvoted by the other two.
+std::uint64_t handoff_ticks() {
+  const std::uint64_t a = g_handoffs[0].load(std::memory_order_relaxed);
+  const std::uint64_t b = g_handoffs[1].load(std::memory_order_relaxed);
+  const std::uint64_t c = g_handoffs[2].load(std::memory_order_relaxed);
+  return std::max(std::min(a, b), std::min(std::max(a, b), c));
+}
+
+}  // namespace
+
 /// The helper threads and the claim word of shared windows: epoch | slice
 /// count | next slice.  A claim is a CAS on the current word, which carries
 /// its window's size, so a stale word never claims into the next window.
-class Handoff {
+class ParallelEngine::Handoff {
  public:
   static constexpr unsigned kBits = 24;
   static constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
   static constexpr std::uint64_t kStop = ~std::uint64_t{0};  // count < kMask
 
   template <class Slice>
-  Handoff(std::size_t helpers, std::uint64_t spin, Slice slice) : spin_(spin) {
+  Handoff(std::size_t helpers, Slice slice) {
     for (std::size_t h = 0; h < helpers; ++h) {
       pool_.emplace_back([this, slice] {
-        for (std::uint64_t w = 0;; w = await_change(word_, w, spin_)) {
+        for (std::uint64_t w = 0;; w = await_change(word_, w, spin())) {
           for (std::size_t i = 0; claim(w, i);) {
-            slice(i);
+            if (!probing_) slice(i);
             done_.fetch_add(1, std::memory_order_release);
             done_.notify_one();
           }
@@ -71,6 +100,29 @@ class Handoff {
     word_.store(kStop, std::memory_order_release);
     word_.notify_all();
     for (std::thread& t : pool_) t.join();
+  }
+
+  /// How long a waiter polls before it blocks.
+  std::uint64_t spin() const { return spin_.load(std::memory_order_relaxed); }
+  void set_spin(std::uint64_t ticks) {
+    spin_.store(ticks, std::memory_order_relaxed);
+  }
+
+  /// The median round trip, in ticks, of nine empty slices through the
+  /// parked helpers, with both sides blocking at once.
+  std::uint64_t measure() {
+    set_spin(0);
+    probing_ = true;  // published to the helpers by open()
+    std::array<std::uint64_t, 9> trips{};
+    for (std::uint64_t& trip : trips) {
+      const std::uint64_t t0 = ticks();
+      open(0, 1);
+      wait_done(1);
+      trip = ticks() - t0;
+    }
+    probing_ = false;  // the helpers' last read happened before wait_done
+    std::nth_element(trips.begin(), trips.begin() + 4, trips.end());
+    return trips[4];
   }
 
   /// Open slices [first, count); returns the opener's word.
@@ -93,37 +145,18 @@ class Handoff {
   void wait_done(std::size_t claimed) {
     handed_ += static_cast<std::uint32_t>(claimed);  // wraps like done_
     for (std::uint32_t v = done_.load(std::memory_order_acquire); v != handed_;)
-      v = await_change(done_, v, spin_);
+      v = await_change(done_, v, spin());
   }
 
  private:
-  const std::uint64_t spin_;
+  std::atomic<std::uint64_t> spin_{0};
+  bool probing_ = false;  ///< helpers skip the slice: measure() is running
   std::uint64_t epoch_ = 0;
   std::uint32_t handed_ = 0;  ///< slices the helpers claimed, in all
   std::atomic<std::uint64_t> word_{0};
   std::atomic<std::uint32_t> done_{0};
   std::vector<std::thread> pool_;
 };
-
-/// One handoff's cost in ticks, measured once per process as the first pool
-/// starts: the median round trip of an empty slice through a parked helper.
-std::uint64_t handoff_ticks() {
-  static const std::uint64_t cost = [] {
-    Handoff probe(1, 0, [](std::size_t) {});
-    std::array<std::uint64_t, 9> trips{};
-    for (std::uint32_t k = 0; k < trips.size(); ++k) {
-      const std::uint64_t t0 = ticks();
-      probe.open(0, 1);
-      probe.wait_done(1);
-      trips[k] = ticks() - t0;
-    }
-    std::nth_element(trips.begin(), trips.begin() + 4, trips.end());
-    return trips[4];
-  }();
-  return cost;
-}
-
-}  // namespace
 
 unsigned PdesConfig::threads_from_env() {
   const char* v = std::getenv("TFSIM_PDES");
@@ -141,7 +174,10 @@ ParallelEngine::ParallelEngine(std::size_t num_domains, PdesConfig cfg)
   }
   outboxes_.resize(num_domains);
   next_.resize(num_domains);
+  active_.resize(num_domains);
 }
+
+ParallelEngine::~ParallelEngine() = default;
 
 void ParallelEngine::set_lookahead(Time lookahead) {
   if (running_) {
@@ -175,8 +211,8 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
 void ParallelEngine::flush_outboxes() {
   // Fixed (source domain, send order) order: the load-bearing line of the
   // determinism argument (DESIGN.md section 13).  Only active domains post.
-  for (const std::size_t src : active_) {
-    std::vector<Pending>& box = outboxes_[src];
+  for (std::size_t k = 0; k < num_active_; ++k) {
+    std::vector<Pending>& box = outboxes_[active_[k]];
     for (Pending& p : box) {
       domains_[p.dst]->schedule_at(p.time, std::move(p.cb));
       next_[p.dst] = std::min(next_[p.dst], p.time);
@@ -186,30 +222,43 @@ void ParallelEngine::flush_outboxes() {
 }
 
 bool ParallelEngine::begin_window() {
-  const Time t = *std::min_element(next_.begin(), next_.end());
+  // Branch-free on purpose: which domains are busy changes every window, so
+  // a compare-and-branch per domain mispredicts on a large share of them.
+  Time t = kTimeNever;
+  for (const Time next : next_) t = std::min(t, next);
   if (t == kTimeNever) return false;
-  window_start_ = t;
-  horizon_ =
+  const Time horizon =
       (t > kTimeNever - cfg_.lookahead) ? kTimeNever : t + cfg_.lookahead;
+  window_start_ = t;
+  horizon_ = horizon;
   // No event can arrive before the horizon: cross-domain posts land after.
-  active_.clear();
+  std::size_t n = 0;
   for (std::size_t d = 0; d < next_.size(); ++d) {
-    if (next_[d] < horizon_) active_.push_back(d);
+    active_[n] = d;
+    n += next_[d] < horizon ? 1 : 0;
   }
+  num_active_ = n;
   ++windows_;
   return true;
 }
 
 void ParallelEngine::execute_domain(std::size_t d) {
-  domains_[d]->run_before(horizon_);
-  next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
+  next_[d] = domains_[d]->run_before(horizon_);
+}
+
+void ParallelEngine::run_slice(std::size_t i) {
+  try {
+    execute_domain(active_[i]);
+  } catch (...) {
+    errors_[active_[i]] = std::current_exception();
+  }
 }
 
 void ParallelEngine::run_serial() {
   while (begin_window()) {
     // Domains in id order is one legal (and the reference) schedule of the
     // independent window slices; the parallel path must match it exactly.
-    for (const std::size_t d : active_) execute_domain(d);
+    for (std::size_t k = 0; k < num_active_; ++k) execute_domain(active_[k]);
     ++inline_windows_;
     flush_outboxes();
   }
@@ -217,26 +266,26 @@ void ParallelEngine::run_serial() {
 
 void ParallelEngine::run_parallel() {
   // The handoff rule; pdes.hpp and DESIGN.md section 13 give the reasons.
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<Handoff>(
+        std::min<std::size_t>(cfg_.threads, domains_.size()) - 1,
+        [this](std::size_t i) { run_slice(i); });
+    record_handoff(pool_->measure());
+    oversubscribed_ = cfg_.threads > std::thread::hardware_concurrency();
+  }
   const std::uint64_t threshold = handoff_ticks();
-  const auto slice = [this](std::size_t i) {
-    try {
-      execute_domain(active_[i]);
-    } catch (...) {
-      errors_[active_[i]] = std::current_exception();
-    }
-  };
-  Handoff handoff(
-      std::min<std::size_t>(cfg_.threads, domains_.size()) - 1,
-      cfg_.threads <= std::thread::hardware_concurrency() ? threshold : 0,
-      slice);
+  pool_->set_spin(oversubscribed_ ? 0 : threshold);
+  Handoff& handoff = *pool_;
   bool at_once = false;  // the last shared window outlasted a handoff
   while (begin_window()) {
-    const std::size_t n = active_.size();
-    const std::uint64_t start = ticks();
+    const std::size_t n = num_active_;
+    // The clock is read only where the rule can act on it: with two slices
+    // or fewer and no shared window before, this window stays inline.
+    const std::uint64_t start = (at_once || n > 2) ? ticks() : 0;
     std::size_t next = 0;
     // A lone last slice stays inline: the coordinator could only wait on it.
     while (!at_once && next < n) {
-      slice(next++);
+      run_slice(next++);
       at_once = n - next > 1 && ticks() - start > threshold;
     }
     if (next == n) {
@@ -245,15 +294,17 @@ void ParallelEngine::run_parallel() {
       ++shared_windows_;
       std::uint64_t w = handoff.open(next, n);
       std::size_t mine = 0;
-      for (std::size_t i = 0; handoff.claim(w, i); ++mine) slice(i);
+      for (std::size_t i = 0; handoff.claim(w, i); ++mine) run_slice(i);
       // The word is exhausted: the helpers claimed every other slice.
       helper_slices_ += n - next - mine;
       handoff.wait_done(n - next - mine);
       at_once = ticks() - start > threshold;
     }
     // As in run_serial, the lowest failing domain's exception wins.
-    for (const std::size_t d : active_) {
-      if (errors_[d] != nullptr) std::rethrow_exception(errors_[d]);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (errors_[active_[k]] != nullptr) {
+        std::rethrow_exception(errors_[active_[k]]);
+      }
     }
     flush_outboxes();
   }
@@ -273,8 +324,9 @@ void ParallelEngine::run() {
   const std::unique_ptr<bool, void (*)(bool*)> clear_running(
       &running_, [](bool* running) { *running = false; });
   // One full scan per run(); windows keep next_ current incrementally.
+  // No event is earlier than 0, so run_before(0) only reports the next one.
   for (std::size_t d = 0; d < domains_.size(); ++d) {
-    next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
+    next_[d] = domains_[d]->run_before(0);
   }
   if (cfg_.threads > 1 && domains_.size() > 1) {
     run_parallel();

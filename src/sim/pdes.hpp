@@ -28,18 +28,32 @@
 //    claim slices through an epoch-tagged claim word; it claims alongside
 //    them, waits only for the slices they claimed, and flushes.  A lone
 //    last slice is never handed off, and a window that follows a shared one
-//    which outlasted a handoff is opened from its first slice.  The handoff
-//    cost is the round trip of an empty slice through a parked helper,
-//    measured on the host once per process when the first helper pool
-//    starts; waiters spin that long before they block.
+//    which outlasted a handoff is opened from its first slice.
+//  * The helpers are started by an engine's first parallel run() (never by
+//    the constructor, so building an engine that never runs costs no
+//    thread) and stay parked between runs, blocked after at most one
+//    handoff of polling, until the destructor joins them.
+//  * The handoff cost is the round trip of an empty slice through a parked
+//    helper: each pool measures it once as it starts (the median of nine
+//    probes, both sides blocking), and every run uses the median of the
+//    last three pools' figures in this process.  A pool that measured
+//    during a load spike is outvoted once two more pools have measured on
+//    a quiet host; so is one that caught its helper still awake and
+//    measured a round trip far below a blocked one.  Waiters spin that
+//    long before they block.
+//  * A window costs little beside its events: its open is one branch-free
+//    min pass over the per-domain next times plus a branch-free compaction
+//    of the active list, and each slice is one Engine::run_before call,
+//    which both runs the slice and returns the domain's next event time.
 //
 // Determinism is inherited from the sweep runner's contract and is
 // non-negotiable: for a fixed (domains, lookahead, workload), every thread
 // count — including the inline serial fallback — executes byte-identical
 // per-domain event sequences.  Each domain's calendar is a deterministic
-// (time, seq) queue; outbox flushing is deterministic because per-domain
-// execution is; therefore thread scheduling can change wall-clock time
-// only, never results.  determinism_check scenario 8 and
+// (time, seq) queue (its packed 16-byte entries compare exactly that pair,
+// see sim/engine.hpp); outbox flushing is deterministic because
+// per-domain execution is; therefore thread scheduling can change
+// wall-clock time only, never results.  determinism_check scenario 8 and
 // tests/property/pdes_property_test.cpp enforce this continuously.
 #pragma once
 
@@ -73,6 +87,8 @@ class ParallelEngine {
  public:
   /// `num_domains` fixed at construction; domain ids are [0, num_domains).
   explicit ParallelEngine(std::size_t num_domains, PdesConfig cfg = {});
+  /// Stops and joins the helper pool, if a parallel run() started one.
+  ~ParallelEngine();
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
@@ -133,6 +149,7 @@ class ParallelEngine {
     Time time = 0;
     Engine::Callback cb;
   };
+  class Handoff;  ///< the parked helpers and their claim word (pdes.cpp)
 
   /// Move every outbox entry into its target calendar, in (source domain,
   /// send order) order — the deterministic tie-break for same-timestamp
@@ -141,8 +158,11 @@ class ParallelEngine {
   /// Open the window at the minimum over next_ and list the domains with
   /// an event before its horizon.  False when idle.
   bool begin_window();
-  /// Run domain d's slice of the current window, then refresh next_[d].
+  /// Run domain d's slice of the current window, refreshing next_[d] from
+  /// the one calendar call.
   void execute_domain(std::size_t d);
+  /// Run active_[i]'s slice, parking an exception in errors_ (parallel).
+  void run_slice(std::size_t i);
   void run_serial();
   void run_parallel();
 
@@ -155,7 +175,13 @@ class ParallelEngine {
   /// cancel from its calendar, and the thread that ran the slice refreshes
   /// the entry; cross-domain arrivals are folded in at the flush.
   std::vector<Time> next_;
-  std::vector<std::size_t> active_;  ///< domains with work this window, by id
+  /// Domains with work this window, by id: the first num_active_ entries.
+  std::vector<std::size_t> active_;
+  std::size_t num_active_ = 0;
+  /// Helper pool of parallel runs: started by the first one, parked between
+  /// runs, joined by the destructor.
+  std::unique_ptr<Handoff> pool_;
+  bool oversubscribed_ = false;  ///< threads > hardware threads: never spin
   bool running_ = false;
   Time window_start_ = 0;
   Time horizon_ = 0;

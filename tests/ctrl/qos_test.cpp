@@ -167,9 +167,8 @@ TEST(ServingControllerTest, RejectionAtCreditExhaustionIsDeterministic) {
     // Each tenant wants 70% of one lender: three fit (one per lender),
     // the fourth finds no lender with rate headroom anywhere.
     for (int i = 0; i < 5; ++i) {
-      admitted.push_back(
-          sc.admit_tenant(tenant("t" + std::to_string(i), 7e5), 0)
-              .has_value());
+      const std::string name = std::string("t").append(std::to_string(i));
+      admitted.push_back(sc.admit_tenant(tenant(name, 7e5), 0).has_value());
     }
     return admitted;
   };

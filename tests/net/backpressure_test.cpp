@@ -43,7 +43,8 @@ FabricRun run_fabric(QueuePolicy policy) {
   Network fabric;
   std::vector<NodeId> hosts;
   for (std::size_t i = 0; i < kHosts; ++i) {
-    hosts.push_back(fabric.add_node("h" + std::to_string(i)));
+    hosts.push_back(
+        fabric.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineConfig topo;
   topo.leaves = 2;

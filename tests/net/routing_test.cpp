@@ -113,7 +113,7 @@ TEST(RoutingTableTest, EcmpStripesAcrossParallelSpines) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 6; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -266,7 +266,7 @@ TEST(LeafSpineTest, BuildsFullBipartiteTier) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 8; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -307,7 +307,7 @@ TEST(LeafSpineTest, CrossLeafLatencyIsFourHops) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 4; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -322,7 +322,7 @@ TEST(LeafSpineTest, CrossLeafLatencyIsFourHops) {
   Network net2;
   std::vector<NodeId> hosts2;
   for (int i = 0; i < 4; ++i) {
-    hosts2.push_back(net2.add_node("h" + std::to_string(i)));
+    hosts2.push_back(net2.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineFabric::build(net2, cfg, hosts2);
   EXPECT_EQ(net2.deliver(0, hosts2[0], hosts2[2], 100), sim::from_ns(400));
@@ -348,7 +348,7 @@ TEST(LeafSpineTest, FaultDecorationCoversUplinks) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 4; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -382,7 +382,7 @@ FabricRun run_fabric_traffic(unsigned threads) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 8; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -443,7 +443,7 @@ TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
   // serial analytic traversal says, switch hops included.
   const auto build = [](Network& net, std::vector<NodeId>& hosts) {
     for (int i = 0; i < 4; ++i) {
-      hosts.push_back(net.add_node("h" + std::to_string(i)));
+      hosts.push_back(net.add_node(std::string("h").append(std::to_string(i))));
     }
     LeafSpineConfig cfg;
     cfg.leaves = 2;

@@ -128,7 +128,7 @@ Bench build(const Plan& p, SettleMode mode) {
 
   std::vector<Wire*> route_in;
   for (std::size_t i = 0; i < p.routes.size(); ++i) {
-    route_in.push_back(&tb.wire("r" + std::to_string(i)));
+    route_in.push_back(&tb.wire(std::string("r").append(std::to_string(i))));
     traced.push_back(route_in.back());
   }
   tb.add<Router>("router", src_w, route_in);
@@ -138,16 +138,17 @@ Bench build(const Plan& p, SettleMode mode) {
   for (std::size_t i = 0; i < p.routes.size(); ++i) {
     Wire* cur = route_in[i];
     if (p.routes[i].has_fifo) {
-      Wire& f = tb.wire("f" + std::to_string(i));
-      tb.add<Fifo>("fifo" + std::to_string(i), *cur, f,
+      Wire& f = tb.wire(std::string("f").append(std::to_string(i)));
+      tb.add<Fifo>(std::string("fifo").append(std::to_string(i)), *cur, f,
                    p.routes[i].fifo_depth);
       allowed_in_flight += p.routes[i].fifo_depth;
       traced.push_back(&f);
       cur = &f;
     }
-    Wire& g = tb.wire("g" + std::to_string(i));
-    b.gates.push_back(&tb.add<RateGate>("gate" + std::to_string(i), *cur, g,
-                                        p.routes[i].period));
+    Wire& g = tb.wire(std::string("g").append(std::to_string(i)));
+    b.gates.push_back(
+        &tb.add<RateGate>(std::string("gate").append(std::to_string(i)), *cur,
+                          g, p.routes[i].period));
     traced.push_back(&g);
     mux_in.push_back(&g);
   }

@@ -38,7 +38,7 @@ struct RandomFabric {
     nodes = 2 + rng.uniform_u64(11);  // 2..12 nodes
     neighbors.resize(nodes);
     for (std::size_t i = 0; i < nodes; ++i) {
-      network.add_node("n" + std::to_string(i));
+      network.add_node(std::string("n").append(std::to_string(i)));
     }
     auto connect = [&](std::size_t a, std::size_t b) {
       if (a == b || network.has_route(static_cast<net::NodeId>(a),
@@ -158,7 +158,7 @@ TEST(PdesPropertyTest, ClusterPartitionAlignsNodesAndDomains) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     sim::Rng rng(seed * 0xA5A5);
     scenario::ScenarioSpec spec;
-    spec.name = "pdes_prop" + std::to_string(seed);
+    spec.name = std::string("pdes_prop").append(std::to_string(seed));
     scenario::NodeDecl borrowers;
     borrowers.name = "b";
     borrowers.role = scenario::Role::kBorrower;

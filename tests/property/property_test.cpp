@@ -227,7 +227,8 @@ TEST(KvShadowTest, RandomOpsMatchMapOracle) {
   sim::Rng rng(2024);
   std::uint64_t version = 1;
   for (int i = 0; i < 3000; ++i) {
-    const std::string key = "k" + std::to_string(rng.uniform_u64(300));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.uniform_u64(300)));
     const auto op = rng.uniform_u64(10);
     if (op < 4) {  // set
       store.set(ctx, key, version);

@@ -131,6 +131,71 @@ TEST(EngineTest, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(e.executed(), 5u);
 }
 
+// --- run_before: the PDES slice call ---------------------------------------
+
+TEST(EngineTest, RunBeforeOnEmptyCalendarReturnsNever) {
+  Engine e;
+  EXPECT_EQ(e.run_before(100), kTimeNever);
+  EXPECT_EQ(e.run_before(0), kTimeNever);
+  EXPECT_EQ(e.now(), 0u);
+}
+
+TEST(EngineTest, RunBeforePrunesCancelledHeadAndReturnsNextLiveTime) {
+  Engine e;
+  bool ran = false;
+  auto head = e.schedule_at(10, [&] { ran = true; });
+  e.schedule_at(40, [] {});
+  e.cancel(head);
+  EXPECT_EQ(e.run_before(0), 40u) << "a cancelled head is not the next event";
+  EXPECT_EQ(e.run_before(20), 40u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(e.executed(), 0u);
+  EXPECT_EQ(e.pending(), 1u);
+}
+
+TEST(EngineTest, RunBeforeLeavesAnEventAtTheBoundary) {
+  Engine e;
+  std::vector<Time> fired;
+  for (const Time t : {Time{30}, Time{50}, Time{51}}) {
+    e.schedule_at(t, [&fired, &e] { fired.push_back(e.now()); });
+  }
+  EXPECT_EQ(e.run_before(50), 50u);
+  EXPECT_EQ(fired, (std::vector<Time>{30}));
+  EXPECT_EQ(e.now(), 30u) << "now() stays at the last executed event";
+  EXPECT_EQ(e.run_before(kTimeNever), kTimeNever);
+  EXPECT_EQ(fired, (std::vector<Time>{30, 50, 51}));
+}
+
+TEST(EngineTest, RunBeforeRunsEventsItsCallbacksScheduleBeforeTheLimit) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] {
+    order.push_back(1);
+    e.schedule_at(10, [&] { order.push_back(2); });  // same time: runs next
+    e.schedule_at(19, [&] { order.push_back(3); });
+    e.schedule_at(20, [&] { order.push_back(4); });  // at the limit: waits
+  });
+  EXPECT_EQ(e.run_before(20), 20u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(e.now(), 19u);
+  EXPECT_EQ(e.pending(), 1u);
+}
+
+TEST(EngineTest, StaleHandleCannotCancelTheEventThatReusedItsSlot) {
+  Engine e;
+  bool second = false;
+  auto first = e.schedule_at(10, [] {});
+  auto stale = first;
+  EXPECT_EQ(e.run_before(11), kTimeNever);  // fires; the slot is freed
+  auto fresh = e.schedule_at(20, [&] { second = true; });  // reuses it
+  e.cancel(stale);
+  EXPECT_TRUE(fresh.valid());
+  EXPECT_FALSE(first.valid());
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run_before(21), kTimeNever);
+  EXPECT_TRUE(second);
+}
+
 // --- event-pool handle semantics (slab + generation counters) --------------
 
 TEST(EngineTest, ValidTracksEventLifecycle) {

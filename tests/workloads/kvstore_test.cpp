@@ -160,7 +160,7 @@ TEST(KvStoreTest, MaxKeysEnforced) {
   KvStore store(f.tb.borrower(), f.cfg);
   auto ctx = f.ctx();
   for (int i = 0; i < 4; ++i) {
-    store.set(ctx, "k" + std::to_string(i), 1);
+    store.set(ctx, std::string("k").append(std::to_string(i)), 1);
   }
   EXPECT_THROW(store.set(ctx, "k4", 1), std::runtime_error);
 }

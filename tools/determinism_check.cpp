@@ -489,7 +489,7 @@ std::string pdes_traffic(std::uint64_t seed, unsigned threads) {
   constexpr std::size_t kNodes = 12;
   net::Network fabric;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    fabric.add_node("n" + std::to_string(i));
+    fabric.add_node(std::string("n").append(std::to_string(i)));
   }
   Rng wiring(seed ^ 0xFAB51Cull);
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -583,7 +583,8 @@ std::string fabric_traffic(std::uint64_t seed, unsigned threads,
   std::vector<net::NodeId> hosts;
   hosts.reserve(kHosts);
   for (std::size_t i = 0; i < kHosts; ++i) {
-    hosts.push_back(fabric.add_node("h" + std::to_string(i)));
+    hosts.push_back(
+        fabric.add_node(std::string("h").append(std::to_string(i))));
   }
   net::LeafSpineConfig topo;
   topo.leaves = 2;
